@@ -6,9 +6,12 @@ cache records each trace once and replays the rest as vectorized forward
 sweeps (:mod:`repro.scorpio.trace_cache`).  These benchmarks time the
 replayed path against the object pipeline on the same inputs, assert the
 results are bit-identical, and record the headline speedups to
-``BENCH_core.json`` via :mod:`record`.
+``BENCH_core.json`` via :mod:`record`.  One more entry times serialising
+a replayed report, the step that ends every ``/analyse`` request.
 """
 
+import os
+import statistics
 import time
 
 import numpy as np
@@ -20,6 +23,7 @@ from repro.scorpio.serialize import report_to_json
 DCT_BLOCKS = 6
 BS_OPTIONS = 64
 SOBEL_HW = 24
+SERIALIZE_SAMPLES = 7
 
 
 def _timed(fn):
@@ -207,3 +211,53 @@ def test_replay_report_byte_identity():
         rep = cache.analyse(("dct",), _record_dct_block, ivs, simplify=False)
         ref = _record_dct_block(ivs).analyse(simplify=False, compiled=True)
         assert report_to_json(rep) == report_to_json(ref)
+
+
+def test_dct_report_to_json(benchmark):
+    """``report_to_json`` of warm replayed dct reports, as ``/analyse``
+    serves them.
+
+    Each sample serialises a freshly replayed report, so it pays for
+    building the graph it shows, as a request does.  The body must equal
+    the object pipeline's byte for byte.
+    """
+    from repro.intervals import Interval
+    from repro.serve.kernels import default_registry
+
+    entry = default_registry()["dct"]
+    cache = TraceCache()
+    base = entry.defaults()
+
+    def replay(k):
+        ivs = [Interval(iv.lo + 0.01 * k, iv.hi + 0.01 * k) for iv in base]
+        report = cache.analyse(
+            entry.cache_key, entry.recorder, ivs, simplify=entry.simplify
+        )
+        return ivs, report
+
+    replay(0)  # records the trace
+    samples = []
+    for k in range(1, SERIALIZE_SAMPLES + 1):
+        ivs, report = replay(k)
+        seconds, body = _timed(lambda: report_to_json(report))
+        samples.append(seconds)
+    obj = entry.recorder(ivs).analyse(simplify=entry.simplify)
+    assert body == report_to_json(obj)
+
+    benchmark.pedantic(
+        report_to_json,
+        setup=lambda: ((replay(0)[1],), {}),
+        rounds=3,
+        iterations=1,
+    )
+
+    ms = statistics.median(samples) * 1e3
+    benchmark.extra_info["median_ms"] = round(ms, 2)
+    record_value(
+        "serialize.dct_report_to_json_ms",
+        ms,
+        unit="ms",
+        samples=SERIALIZE_SAMPLES,
+        body_bytes=len(body),
+        cpus=os.cpu_count(),
+    )

@@ -363,14 +363,16 @@ class _LazyDynDFG(DynDFG):
     The compiled pipeline keeps its results in arrays; most consumers only
     read a handful of labelled significances, so the ``DFGNode``
     dictionaries (one Python object per tape node, times three graphs) are
-    materialized lazily.  Once built, the instance behaves exactly like an
-    eagerly-constructed graph — serialization and comparison see identical
-    objects.
+    materialized lazily.  ``len()`` answers from the id count given at
+    construction, so sizing a graph never builds it.  Once built, the
+    instance behaves exactly like an eagerly-constructed graph —
+    serialization and comparison see identical objects.
     """
 
-    def __init__(self, build, outputs: Sequence[int]):
+    def __init__(self, build, outputs: Sequence[int], size: int):
         self._build = build
         self._materialized: dict[int, DFGNode] | None = None
+        self._size = size
         self.outputs = list(outputs)
 
     @property  # type: ignore[override]
@@ -380,6 +382,99 @@ class _LazyDynDFG(DynDFG):
             materialized = self._build()
             self._materialized = materialized
         return materialized
+
+    def __len__(self) -> int:
+        materialized = self._materialized
+        return self._size if materialized is None else len(materialized)
+
+
+class _NodeObjects:
+    """The value and adjoint objects of one analysis, built per node id.
+
+    One instance serves every graph of a report: each graph builds only
+    the ids it materializes, and the raw, simplified and scan graphs hand
+    out the same objects for a shared id.  ``value_lo``/``value_hi`` must
+    not change while the report lives (callers pass snapshots or fresh
+    per-call arrays); ``adjoint_rows`` maps an id array to the adjoint
+    objects of those rows.
+    """
+
+    __slots__ = (
+        "values",
+        "adjoints",
+        "_value_lo",
+        "_value_hi",
+        "_value_is_interval",
+        "_adjoint_rows",
+    )
+
+    def __init__(self, value_lo, value_hi, value_is_interval, adjoint_rows):
+        self.values: dict[int, Any] = {}
+        self.adjoints: dict[int, Any] = {}
+        self._value_lo = value_lo
+        self._value_hi = value_hi
+        self._value_is_interval = value_is_interval
+        self._adjoint_rows = adjoint_rows
+
+    def fill(self, ids: Sequence[int]) -> None:
+        """Build the objects of every id in ``ids`` not built yet."""
+        values = self.values
+        missing = [i for i in ids if i not in values]
+        if not missing:
+            return
+        idx = np.array(missing, dtype=np.intp)
+        values.update(
+            zip(
+                missing,
+                [
+                    Interval(l, h) if f else l
+                    for l, h, f in zip(
+                        self._value_lo[idx].tolist(),
+                        self._value_hi[idx].tolist(),
+                        self._value_is_interval[idx].tolist(),
+                    )
+                ],
+            )
+        )
+        self.adjoints.update(zip(missing, self._adjoint_rows(idx)))
+
+
+def _interval_rows(lo: np.ndarray, hi: np.ndarray):
+    """``adjoint_rows`` for interval adjoint columns of shape ``(n,)``."""
+
+    def rows(idx: np.ndarray) -> list[Any]:
+        return [
+            Interval(l, h) for l, h in zip(lo[idx].tolist(), hi[idx].tolist())
+        ]
+
+    return rows
+
+
+def _float_rows(col: np.ndarray):
+    """``adjoint_rows`` for a float tape's adjoint column."""
+
+    def rows(idx: np.ndarray) -> list[Any]:
+        return col[idx].tolist()
+
+    return rows
+
+
+def _hull_rows(lo: np.ndarray, hi: np.ndarray):
+    """``adjoint_rows`` for ``(n, m)`` vector-mode adjoint components:
+    significance_map_vector keeps the hull of the per-output adjoints on
+    every node, interval tape or not.  Only the requested rows are
+    reduced."""
+
+    def rows(idx: np.ndarray) -> list[Any]:
+        return [
+            Interval(l, h)
+            for l, h in zip(
+                np.min(lo[idx], axis=1).tolist(),
+                np.max(hi[idx], axis=1).tolist(),
+            )
+        ]
+
+    return rows
 
 
 class _CompiledReport(SignificanceReport):
@@ -682,19 +777,9 @@ def _analyse_compiled_tape(
                 value_lo, value_hi, alo, ahi, interval_mode=interval
             )
             sp.set(nodes=n, outputs=1)
-        if interval:
-
-            def build_adjoints() -> list[Any]:
-                return [
-                    Interval(lo, hi)
-                    for lo, hi in zip(alo.tolist(), ahi.tolist())
-                ]
-
-        else:
-
-            def build_adjoints() -> list[Any]:
-                return alo.tolist()
-
+        adjoint_rows = (
+            _interval_rows(alo, ahi) if interval else _float_rows(alo)
+        )
     else:
         lo, hi = ct.adjoint_vector(output_ids)
         with _obs_span("scorpio.eq11") as sp:
@@ -707,30 +792,22 @@ def _analyse_compiled_tape(
                 scratch=ct._scratch,
             )
             sp.set(nodes=n, outputs=len(output_ids))
-
-        def build_adjoints() -> list[Any]:
-            # significance_map_vector keeps the hull of the per-output
-            # adjoints on every node, interval tape or not.  `lo`/`hi`
-            # are fresh per sweep, so deferring the hulls to first graph
-            # access is safe and keeps them off the replay hot path.
-            hull_lo = np.min(lo, axis=1)
-            hull_hi = np.max(hi, axis=1)
-            return [
-                Interval(l, h)
-                for l, h in zip(hull_lo.tolist(), hull_hi.tolist())
-            ]
+        adjoint_rows = _hull_rows(lo, hi)
 
     # Snapshot the value columns eagerly: a later `ct.forward` overwrites
-    # them in place, and the report's lazy graph must keep showing the
+    # them in place, and the report's lazy graphs must keep showing the
     # values this analysis ran on.  (The adjoint arrays are fresh per
-    # call, so closing over them is safe.)
+    # call, and `value_is_interval` is never written after compilation,
+    # so closing over them is safe.)
     return _assemble_from_columns(
         structure=structure,
         sig_list=sig.tolist(),
-        vlo_snap=value_lo.tolist(),
-        vhi_snap=value_hi.tolist(),
-        is_iv_snap=ct.value_is_interval.tolist(),
-        build_adjoints=build_adjoints,
+        objects=_NodeObjects(
+            value_lo.copy(),
+            value_hi.copy(),
+            ct.value_is_interval,
+            adjoint_rows,
+        ),
         labels=ct.labels,
         delta=delta,
         simplify=simplify,
@@ -745,10 +822,7 @@ def _assemble_from_columns(
     *,
     structure: TraceStructure,
     sig_list: list,
-    vlo_snap: list,
-    vhi_snap: list,
-    is_iv_snap: list,
-    build_adjoints,
+    objects: _NodeObjects,
     labels,
     delta,
     simplify,
@@ -757,35 +831,19 @@ def _assemble_from_columns(
     output_ids,
     n,
 ) -> SignificanceReport:
-    """Graphs + S5 + report from one analysis' scalar columns.
+    """Graphs + S5 + report from one analysis' columns.
 
     Shared verbatim by the scalar replay path and the per-lane slices of
     a batched replay (:func:`analyse_replay_lanes`) — sharing the code is
     what keeps a lane's report byte-identical to its scalar twin.
     """
     ops = structure.ops
-    adjoint_memo: list[Any] = []
-    value_memo: list[Any] = []
-
-    def adjoints() -> list[Any]:
-        if not adjoint_memo:
-            adjoint_memo.append(build_adjoints())
-        return adjoint_memo[0]
-
-    def values() -> list[Any]:
-        if not value_memo:
-            value_memo.append(
-                [
-                    Interval(l, h) if f else l
-                    for l, h, f in zip(vlo_snap, vhi_snap, is_iv_snap)
-                ]
-            )
-        return value_memo[0]
 
     def lazy_graph(ids, parents, merged, levels) -> _LazyDynDFG:
         def build() -> dict[int, DFGNode]:
-            adjs = adjoints()
-            vals = values()
+            objects.fill(ids)
+            vals = objects.values
+            adjs = objects.adjoints
             # `levels` may itself be lazy (a thunk): raw BFS levels are
             # only needed if the raw graph is ever materialized.
             lvls = levels() if callable(levels) else levels
@@ -804,7 +862,7 @@ def _assemble_from_columns(
                 for i in ids
             }
 
-        return _LazyDynDFG(build, output_ids)
+        return _LazyDynDFG(build, output_ids, len(ids))
 
     raw = lazy_graph(
         range(n), structure.raw_parents, None, structure.raw_levels
@@ -924,26 +982,10 @@ def analyse_replay_lanes(
             def lane_sig(lane: int) -> list:
                 return sig[:, lane].tolist()
 
-            if interval:
-
-                def lane_adjoints(lane: int):
-                    def build() -> list[Any]:
-                        return [
-                            Interval(lo, hi)
-                            for lo, hi in zip(
-                                alo[:, lane].tolist(), ahi[:, lane].tolist()
-                            )
-                        ]
-
-                    return build
-
-            else:
-
-                def lane_adjoints(lane: int):
-                    def build() -> list[Any]:
-                        return alo[:, lane].tolist()
-
-                    return build
+            def lane_adjoint_rows(lane: int):
+                if interval:
+                    return _interval_rows(alo[:, lane], ahi[:, lane])
+                return _float_rows(alo[:, lane])
 
         else:
             lo, hi = lanes.adjoint_vector(output_ids)
@@ -964,27 +1006,23 @@ def analyse_replay_lanes(
                     sp.set(nodes=n, outputs=len(output_ids))
                 return s.tolist()
 
-            def lane_adjoints(lane: int):
-                def build() -> list[Any]:
-                    hull_lo = np.min(lo[:, lane, :], axis=1)
-                    hull_hi = np.max(hi[:, lane, :], axis=1)
-                    return [
-                        Interval(a, b)
-                        for a, b in zip(hull_lo.tolist(), hull_hi.tolist())
-                    ]
+            def lane_adjoint_rows(lane: int):
+                return _hull_rows(lo[:, lane, :], hi[:, lane, :])
 
-                return build
-
+        # The lane value and adjoint blocks are fresh per batch and never
+        # written again, so each lane's report reads them through views.
         reports = []
         for lane in range(L):
             reports.append(
                 _assemble_from_columns(
                     structure=structure,
                     sig_list=lane_sig(lane),
-                    vlo_snap=vlo[:, lane].tolist(),
-                    vhi_snap=vhi[:, lane].tolist(),
-                    is_iv_snap=ct.value_is_interval.tolist(),
-                    build_adjoints=lane_adjoints(lane),
+                    objects=_NodeObjects(
+                        vlo[:, lane],
+                        vhi[:, lane],
+                        ct.value_is_interval,
+                        lane_adjoint_rows(lane),
+                    ),
                     labels=ct.labels,
                     delta=delta,
                     simplify=simplify,

@@ -74,10 +74,11 @@ class SignificanceReport:
 
     def input_significances(self) -> dict[str, float]:
         """Significance per registered *input* variable."""
+        input_ids = set(self.input_ids)
         return {
             (n.label or f"x{n.id}"): (n.significance or 0.0)
             for n in self.raw_graph
-            if n.id in set(self.input_ids)
+            if n.id in input_ids
         }
 
     def ranking(self) -> list[tuple[str, float]]:

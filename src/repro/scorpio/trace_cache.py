@@ -565,9 +565,13 @@ class TraceCache:
                     with self._lock:
                         self._traces[key] = None
                 else:
-                    with self._lock:
-                        self._traces[key] = trace
-                    return trace._analyse_current()
+                    # Publish under the trace lock: a replayer that finds
+                    # the trace must not overwrite its arrays before this
+                    # recording's analysis has read them.
+                    with trace.lock:
+                        with self._lock:
+                            self._traces[key] = trace
+                        return trace._analyse_current()
             return analysis.analyse(simplify=simplify, compiled=True)
 
     def analyse(

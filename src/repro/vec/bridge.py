@@ -334,7 +334,7 @@ def _lane_report_compiled(
                 for i in ids
             }
 
-        return _LazyDynDFG(build, outputs)
+        return _LazyDynDFG(build, outputs, len(ids))
 
     raw = lazy_graph(range(cols.n), cols.parents, None, cols.raw_levels)
     if simplify:

@@ -10,13 +10,15 @@ match exactly.
 import numpy as np
 import pytest
 
+from repro.intervals import Interval
 from repro.intervals.rounding import rounded_mode
 from repro.kernels.blackscholes.analysis import analyse_option
 from repro.kernels.dct.analysis import analyse_dct_block
 from repro.kernels.maclaurin import analyse_maclaurin
 from repro.kernels.sobel.analysis import analyse_sobel_pixel
-from repro.scorpio import Analysis, analyse_compiled
+from repro.scorpio import Analysis, CachedTrace, TraceCache, analyse_compiled
 from repro.scorpio.serialize import report_to_json
+from repro.serve.kernels import default_registry
 
 
 @pytest.fixture(scope="module")
@@ -101,3 +103,53 @@ class TestApiBehaviour:
         obj = self._analysis().analyse()
         assert len(rep.raw_graph) == len(obj.raw_graph)
         assert len(rep.simplified_graph) == len(obj.simplified_graph)
+
+
+def _shifted(ivs, by):
+    return [Interval(iv.lo + by, iv.hi + by) for iv in ivs]
+
+
+class TestDeferredGraphs:
+    """Compiled reports build node objects only for the graphs read."""
+
+    @pytest.mark.parametrize("simplify", [False, True])
+    def test_serialising_a_replay_report_leaves_full_graphs_unbuilt(
+        self, simplify
+    ):
+        entry = default_registry()["dct"]
+        cache = TraceCache()
+        inputs = entry.defaults()
+        cache.analyse(
+            entry.cache_key, entry.recorder, inputs, simplify=simplify
+        )
+        inputs = _shifted(inputs, 0.25)
+        report, outcome = cache.analyse_outcome(
+            entry.cache_key, entry.recorder, inputs, simplify=simplify
+        )
+        assert outcome == "replay"
+        obj = entry.recorder(inputs).analyse(simplify=simplify)
+
+        assert report_to_json(report) == report_to_json(obj)
+        assert report.raw_graph._materialized is None
+        assert report.simplified_graph._materialized is None
+        assert len(report.raw_graph) == len(obj.raw_graph)
+        assert len(report.simplified_graph) == len(obj.simplified_graph)
+
+    @pytest.mark.parametrize("kernel", ["blackscholes", "dct"])
+    def test_deferred_graphs_show_the_analysed_inputs(self, kernel):
+        # A report's graphs are built after later replays overwrote the
+        # trace's value arrays; they must still show the report's inputs.
+        entry = default_registry()[kernel]
+        a = entry.defaults()
+        b = _shifted(a, 0.01)
+        trace = CachedTrace(entry.recorder(a), simplify=entry.simplify)
+        scalar_a = trace.analyse(a)
+        batched_a = trace.analyse_batch([a, b])[0]
+        trace.analyse(b)
+        trace.analyse_batch([b, b])
+
+        ref = entry.recorder(a).analyse(simplify=entry.simplify)
+        ref_nodes = list(ref.raw_graph)
+        for report in (scalar_a, batched_a):
+            assert report.raw_graph._materialized is None
+            assert list(report.raw_graph) == ref_nodes
