@@ -8,8 +8,15 @@ of one ``forward_lanes`` + lane-batched adjoint sweep, so batched
 throughput should scale well past the per-request ceiling.  Records
 ``service.batched_req_per_sec`` (with the measured speedup as metadata)
 to ``BENCH_core.json`` via :mod:`record`.
+
+It also records ``service.lone_p50_ms``: one client on the default
+config, where every request arrives alone.  The work-conserving batcher
+dispatches such a request at once, so its median should match the
+unbatched path's instead of paying a gathering window.
 """
 
+import os
+import statistics
 import threading
 import time
 
@@ -20,6 +27,7 @@ from repro.serve import ServiceConfig, ServiceThread
 KERNEL = "blackscholes"
 CLIENTS = 16
 REQUESTS_PER_CLIENT = 12
+LONE_REQUESTS = 100
 
 
 def _drive(service, n_clients: int, per_client: int):
@@ -107,4 +115,52 @@ def test_batched_throughput(benchmark):
     assert speedup >= 2.0, (
         f"batched {batched_rps:.1f} req/s is only {speedup:.2f}x the "
         f"per-request {unbatched_rps:.1f} req/s"
+    )
+
+
+def test_lone_client_latency(benchmark):
+    """A request that arrives alone is not held for companions.
+
+    One sequential client on the default config and one on
+    ``max_batch=1``; the two servers run side by side and take requests
+    in turn, so a change in host load moves both medians alike.
+    """
+    batched = ServiceThread(config=ServiceConfig(port=0))
+    unbatched = ServiceThread(config=ServiceConfig(port=0, max_batch=1))
+    with batched, unbatched:
+        with batched.client() as lone, unbatched.client() as solo:
+            lone_s, solo_s = [], []
+            lone.analyse_raw(KERNEL)
+            solo.analyse_raw(KERNEL)
+            for _ in range(LONE_REQUESTS):
+                for client, sink in ((lone, lone_s), (solo, solo_s)):
+                    t0 = time.perf_counter()
+                    _, outcome = client.analyse_raw(KERNEL)
+                    sink.append(time.perf_counter() - t0)
+                    assert outcome == "replay"
+            benchmark.pedantic(
+                lone.analyse_raw, args=(KERNEL,), rounds=5, iterations=1
+            )
+    lone_ms = statistics.median(lone_s) * 1000.0
+    unbatched_ms = statistics.median(solo_s) * 1000.0
+
+    benchmark.extra_info["lone_p50_ms"] = round(lone_ms, 3)
+    benchmark.extra_info["unbatched_p50_ms"] = round(unbatched_ms, 3)
+    record_value(
+        "service.lone_p50_ms",
+        lone_ms,
+        unit="ms",
+        clients=1,
+        kernel=KERNEL,
+        requests=LONE_REQUESTS,
+        unbatched_p50_ms=round(unbatched_ms, 3),
+        cpus=os.cpu_count(),
+    )
+
+    # The acceptance bar: a lone request rides alone, so it must cost
+    # what the unbatched path costs, not that plus a gathering window
+    # (the old 2 ms default would fail this by a full millisecond).
+    assert lone_ms < unbatched_ms + 1.0, (
+        f"lone p50 {lone_ms:.2f} ms vs unbatched {unbatched_ms:.2f} ms: "
+        "requests that arrive alone are being held"
     )

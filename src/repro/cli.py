@@ -183,10 +183,12 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument(
         "--batch-window-ms",
         type=float,
-        default=2.0,
-        help="micro-batching window: how long the first /analyse request "
-        "of a quiet period waits for companions to share its replay "
-        "sweep (0 batches only what is already queued)",
+        default=0.0,
+        help="micro-batching window: how long a free dispatch slot holds "
+        "an /analyse request for companions to share its replay sweep; "
+        "the default 0 dispatches at once and batches only requests "
+        "that queued while the kernel's slots (one per process worker, "
+        "one on the thread backend) were busy",
     )
     ps.add_argument(
         "--max-batch",

@@ -74,12 +74,15 @@ class ServiceConfig:
     # the same backend: thread pool by default, pool workers under
     # executor="process".
     executor: str = "thread"
-    # Dynamic micro-batching of POST /analyse: concurrent requests for
-    # one kernel arriving within batch_window_ms of each other are
-    # coalesced into one lane-batched replay sweep of up to max_batch
-    # lanes (responses stay byte-identical to the unbatched path).
-    # max_batch=1 disables coalescing entirely.
-    batch_window_ms: float = 2.0
+    # Work-conserving micro-batching of POST /analyse: a request
+    # dispatches at once while its kernel has a free slot (one per pool
+    # worker on the process backend, one on the thread backend);
+    # requests that queue while the slots are busy leave together as one
+    # lane-batched replay sweep of up to max_batch lanes (responses stay
+    # byte-identical to the unbatched path).  A positive batch_window_ms
+    # makes a free slot wait that long for companions.  max_batch=1
+    # disables coalescing entirely.
+    batch_window_ms: float = 0.0
     max_batch: int = 16
     # Persistent tape store directory (None -> $REPRO_TAPE_DIR if set).
     # With a store, a restarted service loads recorded tapes from disk
@@ -143,8 +146,8 @@ def _assemble_trace(trace_id: str) -> list[dict[str, Any]]:
     batch span, spans adopted from pool workers); each still carries its
     context's ``parent_id``, so any root whose parent is present in the
     same trace is re-attached as a child — the returned forest shows the
-    HTTP handling, the batch gather window and the worker-side replay as
-    one tree whenever the ids connect.
+    HTTP handling, the batch and the worker-side replay as one tree
+    whenever the ids connect.
     """
     dicts = obs_profile.spans_to_dicts(obs_trace.spans_for_trace(trace_id))
     by_id: dict[str, dict[str, Any]] = {}
@@ -392,16 +395,21 @@ class SignificanceService:
         if self.config.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         # One request coalescer per kernel (max_batch=1 -> none; the
-        # unbatched dispatch path is used verbatim).
+        # unbatched dispatch path is used verbatim).  The process backend
+        # runs one batch per pool worker at once; the thread backend one,
+        # since a second in-flight sweep would only contend for the GIL.
         self._batchers: dict[str, KernelBatcher] | None = None
+        self._kernel_threads: list[ThreadPoolExecutor] = []
         if self.config.max_batch > 1:
             window = max(0.0, self.config.batch_window_ms) / 1000.0
+            slots = self.config.workers if self._mp is not None else 1
             self._batchers = {
                 kid: KernelBatcher(
                     window=window,
                     max_batch=self.config.max_batch,
                     dispatch=self._make_batch_dispatch(entry),
                     name=kid,
+                    slots=slots,
                 )
                 for kid, entry in self.registry.items()
             }
@@ -452,6 +460,8 @@ class SignificanceService:
             for batcher in self._batchers.values():
                 batcher.close()
         self._executor.shutdown(wait=False)
+        for thread in self._kernel_threads:
+            thread.shutdown(wait=False)
         if self._mp is not None:
             self._mp.close()
         if self._prev_tracing is not None:
@@ -560,9 +570,14 @@ class SignificanceService:
 
         return wrapped
 
-    async def _in_worker(self, fn: Callable[[], Any]) -> Any:
+    async def _in_worker(
+        self,
+        fn: Callable[[], Any],
+        executor: "ThreadPoolExecutor | None" = None,
+    ) -> Any:
         """Run blocking analysis work off the event loop.
 
+        Runs on ``executor``, the shared pool by default.
         ``run_in_executor`` does not carry contextvars onto the pool
         thread; :func:`repro.obs.context.run_with` is the explicit hop
         that keeps the request's trace context attached to its work.
@@ -570,7 +585,7 @@ class SignificanceService:
         loop = asyncio.get_running_loop()
         ctx = obs_context.current()
         return await loop.run_in_executor(
-            self._executor, lambda: obs_context.run_with(ctx, fn)
+            executor or self._executor, lambda: obs_context.run_with(ctx, fn)
         )
 
     def _entry(self, payload: dict) -> KernelEntry:
@@ -635,18 +650,28 @@ class SignificanceService:
     def _make_batch_dispatch(self, entry: KernelEntry):
         """The async dispatch a kernel's :class:`KernelBatcher` calls.
 
-        Ships the whole coalesced batch to the same executor the
-        unbatched path uses (thread pool, or one repro.mp pool worker),
-        where it runs as ONE lane-batched replay sweep.
+        Ships the whole coalesced batch to one repro.mp pool worker
+        (process backend) or to the kernel's own analysis thread (thread
+        backend), where it runs as ONE lane-batched replay sweep.  The
+        thread is long-lived and private to the kernel: with no batch
+        window, the next dispatch often arrives before a shared pool's
+        previous thread has marked itself idle, so the pool would spawn
+        another thread and spread the kernel's temporaries over a second
+        malloc arena.
         """
+        if self._mp is not None:
+            analyse, executor = self._mp_batch_analyse_entry, None
+        else:
+            analyse = self._batch_analyse_entry
+            executor = ThreadPoolExecutor(
+                max_workers=1,
+                thread_name_prefix=f"repro-serve-{entry.kernel_id}",
+            )
+            self._kernel_threads.append(executor)
 
         async def dispatch(batch: list) -> list:
-            if self._mp is not None:
-                return await self._in_worker(
-                    lambda: self._mp_batch_analyse_entry(entry, batch)
-                )
             return await self._in_worker(
-                lambda: self._batch_analyse_entry(entry, batch)
+                lambda: analyse(entry, batch), executor
             )
 
         return dispatch
@@ -800,7 +825,7 @@ class SignificanceService:
         t_dispatch = time.perf_counter()
         if self._batchers is not None:
             item, size, index = await self._batchers[entry.kernel_id].submit(
-                intervals
+                intervals, stages=info["stages"] if info is not None else None
             )
             if info is not None:
                 info["stages"]["dispatch"] = time.perf_counter() - t_dispatch

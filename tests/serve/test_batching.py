@@ -9,7 +9,9 @@ request as a replay.
 """
 
 import asyncio
+import gc
 import threading
+import warnings
 
 import pytest
 
@@ -242,3 +244,235 @@ class TestKernelBatcher:
     def test_rejects_bad_max_batch(self):
         with pytest.raises(ValueError):
             KernelBatcher(window=0.0, max_batch=0, dispatch=None)
+
+
+class _FrozenClockLoop(asyncio.SelectorEventLoop):
+    """An event loop whose clock never advances: no timer ever fires, so
+    anything a test sees happen took no timed wait."""
+
+    def time(self) -> float:
+        return 0.0
+
+
+def _run_frozen(coro, max_steps: int = 1000):
+    """Run ``coro`` on a frozen-clock loop, one iteration at a time.
+
+    Fails instead of hanging when the coroutine needs the clock to move.
+    """
+    loop = _FrozenClockLoop()
+    try:
+        task = loop.create_task(coro)
+        for _ in range(max_steps):
+            loop.call_soon(loop.stop)
+            loop.run_forever()
+            if task.done():
+                return task.result()
+        task.cancel()
+        raise AssertionError("the coroutine waited on the clock")
+    finally:
+        loop.close()
+
+
+async def _spin(steps: int = 5) -> None:
+    """Let ready callbacks and tasks run, without letting time pass."""
+    for _ in range(steps):
+        await asyncio.sleep(0)
+
+
+def _gated_dispatch(calls: list, gate: asyncio.Event):
+    """A stub dispatch that records each batch, then waits for ``gate``."""
+
+    async def dispatch(batch):
+        calls.append(list(batch))
+        await gate.wait()
+        return [("ok", item) for item in batch]
+
+    return dispatch
+
+
+class TestWorkConservingBatcher:
+    def test_lone_submit_dispatches_without_timed_wait(self):
+        calls = []
+
+        async def main():
+            gate = asyncio.Event()
+            gate.set()
+            batcher = KernelBatcher(
+                window=ServiceConfig().batch_window_ms / 1000.0,
+                max_batch=16,
+                dispatch=_gated_dispatch(calls, gate),
+            )
+            task = asyncio.ensure_future(batcher.submit("a"))
+            await _spin()
+            assert task.done(), "a lone request waited on the clock"
+            return task.result()
+
+        item, size, index = _run_frozen(main())
+        assert calls == [["a"]]
+        assert (item, size, index) == (("ok", "a"), 1, 0)
+
+    def test_queued_requests_leave_together_capped_at_max_batch(self):
+        calls = []
+
+        async def main():
+            gate = asyncio.Event()
+            batcher = KernelBatcher(
+                window=0.0, max_batch=3, dispatch=_gated_dispatch(calls, gate)
+            )
+            first = asyncio.ensure_future(batcher.submit("a"))
+            await _spin()
+            assert calls == [["a"]]
+            rest = [
+                asyncio.ensure_future(batcher.submit(x)) for x in "bcde"
+            ]
+            await _spin()
+            # One slot, and it is busy: everything else waits in the queue.
+            assert calls == [["a"]]
+            gate.set()
+            return await asyncio.gather(first, *rest)
+
+        results = _run_frozen(main())
+        assert calls == [["a"], ["b", "c", "d"], ["e"]]
+        assert [(size, index) for _, size, index in results] == [
+            (1, 0), (3, 0), (3, 1), (3, 2), (1, 0),
+        ]
+        assert [item for item, _, _ in results] == [
+            ("ok", x) for x in "abcde"
+        ]
+
+    def test_two_slots_run_two_batches_at_once(self):
+        calls = []
+
+        async def main():
+            arrived = 0
+            both_in = asyncio.Event()
+
+            async def dispatch(batch):
+                nonlocal arrived
+                calls.append(list(batch))
+                arrived += 1
+                if arrived == 2:
+                    both_in.set()
+                # A barrier both batches must reach: with one slot the
+                # second batch could not start and this would time out.
+                await asyncio.wait_for(both_in.wait(), timeout=10.0)
+                return [("ok", item) for item in batch]
+
+            batcher = KernelBatcher(
+                window=0.0, max_batch=4, dispatch=dispatch, slots=2
+            )
+            first = asyncio.ensure_future(batcher.submit("a"))
+            await _spin()
+            second = asyncio.ensure_future(batcher.submit("b"))
+            return await asyncio.gather(first, second)
+
+        results = asyncio.run(main())
+        assert calls == [["a"], ["b"]]
+        assert [item for item, _, _ in results] == [("ok", "a"), ("ok", "b")]
+
+    def test_positive_window_holds_a_free_slot_for_companions(self):
+        calls = []
+
+        async def main():
+            gate = asyncio.Event()
+            gate.set()
+            batcher = KernelBatcher(
+                window=0.002, max_batch=3, dispatch=_gated_dispatch(calls, gate)
+            )
+            tasks = [asyncio.ensure_future(batcher.submit(x)) for x in "ab"]
+            await _spin()
+            # The clock is frozen, so the window never closes by itself.
+            assert calls == []
+            # Reaching max_batch releases the held dispatch at once.
+            tasks.append(asyncio.ensure_future(batcher.submit("c")))
+            return await asyncio.gather(*tasks)
+
+        results = _run_frozen(main())
+        assert calls == [["a", "b", "c"]]
+        assert [(size, index) for _, size, index in results] == [
+            (3, 0), (3, 1), (3, 2),
+        ]
+
+    def test_positive_window_coalesces_up_to_max_batch(self):
+        calls = []
+
+        async def main():
+            gate = asyncio.Event()
+            gate.set()
+            batcher = KernelBatcher(
+                window=0.01, max_batch=3, dispatch=_gated_dispatch(calls, gate)
+            )
+            return await asyncio.gather(*(batcher.submit(i) for i in range(7)))
+
+        results = asyncio.run(main())
+        assert calls == [[0, 1, 2], [3, 4, 5], [6]]
+        assert [item[1] for item, _, _ in results] == list(range(7))
+
+    def test_submit_reports_queue_time(self):
+        async def main():
+            gate = asyncio.Event()
+            batcher = KernelBatcher(
+                window=0.0, max_batch=4, dispatch=_gated_dispatch([], gate)
+            )
+            first, second = {}, {}
+            a = asyncio.ensure_future(batcher.submit("a", stages=first))
+            await _spin()
+            b = asyncio.ensure_future(batcher.submit("b", stages=second))
+            await _spin()
+            # "b" has not been dispatched yet: no queue time so far.
+            assert "queue" in first and "queue" not in second
+            gate.set()
+            await asyncio.gather(a, b)
+            return first, second
+
+        first, second = asyncio.run(main())
+        assert first["queue"] >= 0.0 and second["queue"] >= 0.0
+
+    def test_rejects_bad_slots(self):
+        with pytest.raises(ValueError):
+            KernelBatcher(window=0.0, max_batch=4, dispatch=None, slots=0)
+
+    def test_close_mid_dispatch_fails_everything_cleanly(self):
+        problems = []
+        cancelled = []
+
+        async def main():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: problems.append(context["message"])
+            )
+            entered = asyncio.Event()
+            gate = asyncio.Event()
+
+            async def dispatch(batch):
+                entered.set()
+                try:
+                    await gate.wait()
+                except asyncio.CancelledError:
+                    cancelled.append(list(batch))
+                    raise
+                return [("ok", item) for item in batch]
+
+            batcher = KernelBatcher(window=0.0, max_batch=4, dispatch=dispatch)
+            in_flight = asyncio.ensure_future(batcher.submit("a"))
+            await asyncio.wait_for(entered.wait(), timeout=10.0)
+            queued = asyncio.ensure_future(batcher.submit("b"))
+            await _spin()
+            batcher.close()
+            results = await asyncio.gather(
+                in_flight, queued, return_exceptions=True
+            )
+            await _spin()
+            with pytest.raises(RuntimeError):
+                await asyncio.wait_for(batcher.submit("late"), timeout=10.0)
+            return results
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = asyncio.run(main(), debug=True)
+            gc.collect()
+        assert all(
+            isinstance(r, RuntimeError) and "shut down" in str(r)
+            for r in results
+        ), results
+        assert cancelled == [["a"]]
+        assert problems == []

@@ -68,6 +68,8 @@ class TestDebugRequests:
         assert rec["executor"] == "thread"
         assert rec["duration_ms"] > 0
         assert "dispatch" in rec["stages_ms"]
+        # Time from the batcher's submit to its batch's dispatch start.
+        assert 0.0 <= rec["stages_ms"]["queue"] <= rec["stages_ms"]["dispatch"]
 
     def test_newest_first_and_limit(self, service):
         client = service.client()
