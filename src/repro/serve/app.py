@@ -19,18 +19,23 @@
   counters, and everything the pipeline itself counts).
 * ``GET /healthz`` / ``GET /kernels`` — liveness and discovery.
 
-Analysis work never runs on the event loop: every request's kernel work
-is shipped to a thread pool, so a cold recording (tens of milliseconds of
-operator-overloaded taping) does not stall concurrently arriving warm
-requests, which are pure vectorized replay.  Each kernel owns one
-:class:`~repro.scorpio.TraceCache` — kernel identity is the cache key —
-and the cache's own per-key record lock guarantees two racing cold
-requests record exactly once.
+Analysis work never runs on the event loop, so a cold recording (tens of
+milliseconds of operator-overloaded taping) does not stall concurrently
+arriving warm requests, which are pure vectorized replay.  Each endpoint
+has one body, a module-level function ``(entry, cache, *args) ->
+picklable result``; :meth:`SignificanceService._run` is the only code
+that knows the backend, and decides only where that body runs: on a
+service thread against the service's own per-kernel
+:class:`~repro.scorpio.TraceCache`, or in a :mod:`repro.mp` pool worker
+against the worker's.  Kernel identity is the cache key, and the cache's
+own per-key record lock guarantees two racing cold requests record
+exactly once.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import os
 import threading
 import time
@@ -65,14 +70,12 @@ class ServiceConfig:
     max_body: int = 4 * 1024 * 1024
     workers: int = 4  # analysis thread / process pool size
     validate: bool = False  # TraceCache re-record validation
-    # Analysis backend: "thread" ships /analyse work to the in-process
-    # thread pool (the default); "process" ships it to a
-    # :class:`repro.mp.ProcessExecutor` whose long-lived workers each
-    # keep their own per-process TraceCache (record once per worker,
-    # replay after — responses are byte-identical either way, which is
-    # the cache's pinned invariant).  /advise and /tune bodies follow
-    # the same backend: thread pool by default, pool workers under
-    # executor="process".
+    # Analysis backend for the /analyse, /advise and /tune bodies:
+    # "thread" runs them on service threads (the default); "process"
+    # ships them to a :class:`repro.mp.ProcessExecutor` whose long-lived
+    # workers each keep their own per-process TraceCache (record once
+    # per worker, replay after — responses are byte-identical either
+    # way, which is the cache's pinned invariant).
     executor: str = "thread"
     # Work-conserving micro-batching of POST /analyse: a request
     # dispatches at once while its kernel has a free slot (one per pool
@@ -119,10 +122,11 @@ _C_HITS = obs_metrics.counter("serve.analyse.cache_hits")
 _C_MISSES = obs_metrics.counter("serve.analyse.cache_misses")
 _C_DIVERGENCES = obs_metrics.counter("serve.analyse.divergences")
 
-_OUTCOME_COUNTER = {
-    "replay": _C_HITS,
-    "record": _C_MISSES,
-    "divergence": _C_DIVERGENCES,
+# Cache outcome -> (its TraceCache.stats() key, its service counter).
+_OUTCOMES = {
+    "record": ("records", _C_MISSES),
+    "replay": ("replays", _C_HITS),
+    "divergence": ("divergences", _C_DIVERGENCES),
 }
 
 # Per-request flight-record scratch, set by _timed() for the duration of
@@ -200,96 +204,76 @@ def _worker_entry_cache(
     return entry, cache
 
 
-def _analyse_in_worker_process(
+def _in_pool_worker(
+    body: Callable[..., Any],
     kernel_id: str,
-    intervals: tuple,
     validate: bool,
-    store_dir: "str | None" = None,
-) -> tuple[bytes, str]:
-    """Run one /analyse request inside a repro.mp pool worker.
-
-    Returns the serialized report body and the cache outcome.  The body
-    is byte-identical to the thread backend's response for the same
-    ranges — recording and replay serialize identically, so it does not
-    matter which worker (or how cold) answers.
-    """
+    store_dir: "str | None",
+    *args: Any,
+) -> Any:
+    """Run one endpoint body against this pool worker's entry and cache."""
     entry, cache = _worker_entry_cache(kernel_id, validate, store_dir)
-    report, outcome = cache.analyse_outcome(
-        entry.cache_key,
-        entry.recorder,
-        list(intervals),
-        simplify=entry.simplify,
-    )
-    return report_to_json(report).encode("utf-8"), outcome
+    return body(entry, cache, *args)
 
 
-def _analyse_batch_in_worker_process(
-    kernel_id: str,
-    intervals_batch: tuple,
-    validate: bool,
-    store_dir: "str | None" = None,
-) -> list:
-    """Run one coalesced /analyse batch inside a repro.mp pool worker.
+# ----------------------------------------------------------------------
+# Endpoint bodies.  Each is ``(entry, cache, *args) -> picklable result``
+# and runs unchanged on either backend: SignificanceService._run decides
+# only *where* (a service thread against the service's caches, or a pool
+# worker against the worker's own caches).  Their results are
+# byte-identical across backends because recording and replay serialize
+# identically.
+# ----------------------------------------------------------------------
+def _analyse_batch(entry: KernelEntry, cache: TraceCache, batch: list) -> list:
+    """One coalesced /analyse batch: a tagged item per request.
 
-    Returns one picklable tagged item per request (``("ok", body,
-    outcome)`` / ``("err", message)``), bodies byte-identical to what
-    the same requests would have answered unbatched.
+    Items are ``("ok", body, outcome)`` or ``("err", detail)``, where
+    ``detail`` is the 500 detail the request answers with.  Bodies are
+    byte-identical to what the same requests would answer one by one.
     """
-    entry, cache = _worker_entry_cache(kernel_id, validate, store_dir)
     try:
         outcomes = cache.analyse_batch_outcome(
-            entry.cache_key,
-            entry.recorder,
-            [list(intervals) for intervals in intervals_batch],
-            simplify=entry.simplify,
+            entry.cache_key, entry.recorder, batch, simplify=entry.simplify
         )
         return [
             ("ok", report_to_json(report).encode("utf-8"), outcome)
             for report, outcome in outcomes
         ]
     except Exception:
-        # Batch-level failure (e.g. an ambiguous comparison poisoning
-        # the shared sweep): retry each request alone so only the
-        # culprits fail — identical outcome to unbatched dispatch.
+        # Batch-level failure (e.g. an ambiguous comparison poisoning the
+        # shared sweep): retry each request alone so only the culprits
+        # fail, exactly as if they had never been batched.
         items: list = []
-        for intervals in intervals_batch:
+        for intervals in batch:
             try:
                 report, outcome = cache.analyse_outcome(
                     entry.cache_key,
                     entry.recorder,
-                    list(intervals),
+                    intervals,
                     simplify=entry.simplify,
                 )
                 items.append(
                     ("ok", report_to_json(report).encode("utf-8"), outcome)
                 )
             except Exception as exc:  # noqa: BLE001 - per-request isolation
-                items.append(("err", f"{type(exc).__name__}: {exc}"))
+                items.append(("err", f"unhandled error: {exc!r}"))
         return items
 
 
-def _advise_in_worker_process(
-    kernel_id: str,
-    intervals: tuple,
-    threshold: float,
-    validate: bool,
-    store_dir: "str | None" = None,
+def _advise(
+    entry: KernelEntry, cache: TraceCache, intervals: list, threshold: float
 ) -> tuple[dict, str]:
-    """Run one /advise body inside a repro.mp pool worker."""
+    """One /advise body: (response payload, cache outcome)."""
     from repro.scorpio.advisor import render_advice, suggest_approximations
 
-    entry, cache = _worker_entry_cache(kernel_id, validate, store_dir)
     report, outcome = cache.analyse_outcome(
-        entry.cache_key,
-        entry.recorder,
-        list(intervals),
-        simplify=entry.simplify,
+        entry.cache_key, entry.recorder, intervals, simplify=entry.simplify
     )
-    suggestions = suggest_approximations(report, float(threshold))
+    suggestions = suggest_approximations(report, threshold)
     return (
         {
-            "kernel": kernel_id,
-            "threshold": float(threshold),
+            "kernel": entry.kernel_id,
+            "threshold": threshold,
             "suggestions": [
                 {
                     "node_id": s.node_id,
@@ -307,35 +291,36 @@ def _advise_in_worker_process(
     )
 
 
-def _tune_in_worker_process(
-    kernel_id: str,
+def _tune(
+    entry: KernelEntry,
+    cache: TraceCache,
     size: "int | None",
     target_quality: "float | None",
     energy_budget: "float | None",
 ) -> dict:
-    """Run one /tune body inside a repro.mp pool worker."""
+    """One /tune body: the ratio-search payload (no trace cache needed)."""
     from repro.runtime.tuning import (
         best_quality_under_energy,
         min_ratio_for_quality,
     )
 
-    setup = tune_setup(kernel_id, size)
+    setup = tune_setup(entry.kernel_id, size)
     if target_quality is not None:
         result = min_ratio_for_quality(
             setup.evaluate,
-            float(target_quality),
+            target_quality,
             higher_is_better=setup.higher_is_better,
         )
         mode = "target_quality"
     else:
         result = best_quality_under_energy(
             setup.evaluate,
-            float(energy_budget),
+            energy_budget,
             higher_is_better=setup.higher_is_better,
         )
         mode = "energy_budget"
     return {
-        "kernel": kernel_id,
+        "kernel": entry.kernel_id,
         "mode": mode,
         "taskwait": {"ratio": result.ratio},
         "ratio": result.ratio,
@@ -385,34 +370,54 @@ class SignificanceService:
         # pool workers) see the effective directory, env var included.
         if self.config.store_dir is None:
             self.config.store_dir = os.environ.get("REPRO_TAPE_DIR") or None
-        self.caches: dict[str, TraceCache] = {
-            kid: TraceCache(
-                validate=self.config.validate,
-                store_dir=self.config.store_dir,
-            )
-            for kid in self.registry
-        }
         if self.config.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        # One request coalescer per kernel (max_batch=1 -> none; the
-        # unbatched dispatch path is used verbatim).  The process backend
+        # The thread backend keeps one TraceCache per kernel and runs each
+        # kernel's batches on a long-lived analysis thread private to the
+        # kernel: with no batch window, the next dispatch often arrives
+        # before a shared pool's previous thread has marked itself idle,
+        # so the pool would spawn another thread and spread the kernel's
+        # temporaries over a second malloc arena.  The process backend's
+        # caches live in the pool workers instead.
+        self.caches: dict[str, TraceCache] = {}
+        self._kernel_threads: dict[str, ThreadPoolExecutor] = {}
+        if self._mp is None:
+            for kid in self.registry:
+                self.caches[kid] = TraceCache(
+                    validate=self.config.validate,
+                    store_dir=self.config.store_dir,
+                )
+                self._kernel_threads[kid] = ThreadPoolExecutor(
+                    max_workers=1, thread_name_prefix=f"repro-serve-{kid}"
+                )
+        # Per-kernel tally of the cache outcomes the service answered with
+        # (GET /kernels on the process backend, whose caches it cannot see).
+        self._outcomes: dict[str, dict[str, int]] = {
+            kid: {stat: 0 for stat, _ in _OUTCOMES.values()}
+            for kid in self.registry
+        }
+        # One request coalescer per kernel; every /analyse goes through it
+        # (max_batch=1 dispatches each request alone).  The process backend
         # runs one batch per pool worker at once; the thread backend one,
         # since a second in-flight sweep would only contend for the GIL.
-        self._batchers: dict[str, KernelBatcher] | None = None
-        self._kernel_threads: list[ThreadPoolExecutor] = []
-        if self.config.max_batch > 1:
-            window = max(0.0, self.config.batch_window_ms) / 1000.0
-            slots = self.config.workers if self._mp is not None else 1
-            self._batchers = {
-                kid: KernelBatcher(
-                    window=window,
-                    max_batch=self.config.max_batch,
-                    dispatch=self._make_batch_dispatch(entry),
-                    name=kid,
-                    slots=slots,
-                )
-                for kid, entry in self.registry.items()
-            }
+        window = max(0.0, self.config.batch_window_ms) / 1000.0
+        slots = self.config.workers if self._mp is not None else 1
+        self._batchers = {
+            kid: KernelBatcher(
+                window=window,
+                max_batch=self.config.max_batch,
+                # The whole coalesced batch runs as ONE lane-batched sweep.
+                dispatch=functools.partial(
+                    self._run,
+                    _analyse_batch,
+                    entry,
+                    executor=self._kernel_threads.get(kid),
+                ),
+                name=kid,
+                slots=slots,
+            )
+            for kid, entry in self.registry.items()
+        }
         self._executor = ThreadPoolExecutor(
             max_workers=self.config.workers,
             thread_name_prefix="repro-serve",
@@ -456,11 +461,10 @@ class SignificanceService:
 
     async def close(self) -> None:
         await self.server.close()
-        if self._batchers is not None:
-            for batcher in self._batchers.values():
-                batcher.close()
+        for batcher in self._batchers.values():
+            batcher.close()
         self._executor.shutdown(wait=False)
-        for thread in self._kernel_threads:
+        for thread in self._kernel_threads.values():
             thread.shutdown(wait=False)
         if self._mp is not None:
             self._mp.close()
@@ -570,23 +574,62 @@ class SignificanceService:
 
         return wrapped
 
-    async def _in_worker(
+    async def _run(
         self,
-        fn: Callable[[], Any],
+        body: Callable[..., Any],
+        entry: KernelEntry,
+        *args: Any,
         executor: "ThreadPoolExecutor | None" = None,
     ) -> Any:
-        """Run blocking analysis work off the event loop.
+        """Run one endpoint body off the event loop; return its result.
 
-        Runs on ``executor``, the shared pool by default.
+        The only code that knows the backend.  The thread backend calls
+        ``body(entry, cache, *args)`` with the service's cache for the
+        kernel; the process backend ships the same call to a pool worker,
+        which supplies its own entry and cache.  Either way the blocking
+        part runs on ``executor`` (the shared pool by default).
         ``run_in_executor`` does not carry contextvars onto the pool
         thread; :func:`repro.obs.context.run_with` is the explicit hop
         that keeps the request's trace context attached to its work.
         """
+        if self._mp is None:
+            cache = self.caches[entry.kernel_id]
+
+            def work() -> Any:
+                return body(entry, cache, *args)
+
+        else:
+            from repro.runtime.task import ExecutionMode, Task
+
+            task = Task(
+                fn=_in_pool_worker,
+                args=(
+                    body,
+                    entry.kernel_id,
+                    self.config.validate,
+                    self.config.store_dir,
+                    *args,
+                ),
+                label=f"serve.{body.__name__.lstrip('_')}",
+            )
+
+            def work() -> Any:
+                [result] = self._mp.run([task], [ExecutionMode.ACCURATE])
+                return result.value
+
         loop = asyncio.get_running_loop()
         ctx = obs_context.current()
         return await loop.run_in_executor(
-            executor or self._executor, lambda: obs_context.run_with(ctx, fn)
+            executor or self._executor, lambda: obs_context.run_with(ctx, work)
         )
+
+    def _count(self, kernel_id: str, outcome: str) -> None:
+        """Count one answered cache outcome (on the event loop)."""
+        known = _OUTCOMES.get(outcome)
+        if known is not None:
+            stat, counter = known
+            counter.inc()
+            self._outcomes[kernel_id][stat] += 1
 
     def _entry(self, payload: dict) -> KernelEntry:
         kernel_id = payload.get("kernel")
@@ -606,130 +649,6 @@ class SignificanceService:
             return parse_intervals(payload.get("inputs"), entry)
         except ValueError as exc:
             raise HttpError(400, str(exc)) from exc
-
-    def _analyse_entry(self, entry: KernelEntry, intervals) -> tuple[Any, str]:
-        """(report, cache outcome) through the kernel's TraceCache."""
-        cache = self.caches[entry.kernel_id]
-        report, outcome = cache.analyse_outcome(
-            entry.cache_key,
-            entry.recorder,
-            intervals,
-            simplify=entry.simplify,
-        )
-        counter = _OUTCOME_COUNTER.get(outcome)
-        if counter is not None:
-            counter.inc()
-        return report, outcome
-
-    def _mp_analyse_entry(
-        self, entry: KernelEntry, intervals
-    ) -> tuple[bytes, str]:
-        """(response body, cache outcome) via the process backend."""
-        from repro.runtime.task import ExecutionMode, Task
-
-        task = Task(
-            fn=_analyse_in_worker_process,
-            args=(
-                entry.kernel_id,
-                tuple(intervals),
-                self.config.validate,
-                self.config.store_dir,
-            ),
-            label="serve.analyse",
-        )
-        [result] = self._mp.run([task], [ExecutionMode.ACCURATE])
-        body, outcome = result.value
-        counter = _OUTCOME_COUNTER.get(outcome)
-        if counter is not None:
-            counter.inc()
-        return body, outcome
-
-    # ------------------------------------------------------------------
-    # Batched dispatch (micro-batching of POST /analyse)
-    # ------------------------------------------------------------------
-    def _make_batch_dispatch(self, entry: KernelEntry):
-        """The async dispatch a kernel's :class:`KernelBatcher` calls.
-
-        Ships the whole coalesced batch to one repro.mp pool worker
-        (process backend) or to the kernel's own analysis thread (thread
-        backend), where it runs as ONE lane-batched replay sweep.  The
-        thread is long-lived and private to the kernel: with no batch
-        window, the next dispatch often arrives before a shared pool's
-        previous thread has marked itself idle, so the pool would spawn
-        another thread and spread the kernel's temporaries over a second
-        malloc arena.
-        """
-        if self._mp is not None:
-            analyse, executor = self._mp_batch_analyse_entry, None
-        else:
-            analyse = self._batch_analyse_entry
-            executor = ThreadPoolExecutor(
-                max_workers=1,
-                thread_name_prefix=f"repro-serve-{entry.kernel_id}",
-            )
-            self._kernel_threads.append(executor)
-
-        async def dispatch(batch: list) -> list:
-            return await self._in_worker(
-                lambda: analyse(entry, batch), executor
-            )
-
-        return dispatch
-
-    def _count_item(self, item: tuple) -> tuple:
-        if item[0] == "ok":
-            counter = _OUTCOME_COUNTER.get(item[2])
-            if counter is not None:
-                counter.inc()
-        return item
-
-    def _batch_analyse_entry(self, entry: KernelEntry, batch: list) -> list:
-        """Tagged per-request results of one coalesced batch (thread)."""
-        cache = self.caches[entry.kernel_id]
-        try:
-            outcomes = cache.analyse_batch_outcome(
-                entry.cache_key,
-                entry.recorder,
-                batch,
-                simplify=entry.simplify,
-            )
-            return [
-                self._count_item(
-                    ("ok", report_to_json(report).encode("utf-8"), outcome)
-                )
-                for report, outcome in outcomes
-            ]
-        except Exception:
-            # Batch-level failure: retry each request alone so only the
-            # culprits fail, exactly as if they had never been batched.
-            items = []
-            for intervals in batch:
-                try:
-                    report, outcome = self._analyse_entry(entry, intervals)
-                    body = report_to_json(report).encode("utf-8")
-                    items.append(("ok", body, outcome))
-                except Exception as exc:  # noqa: BLE001 - isolated per req
-                    items.append(("err", exc))
-            return items
-
-    def _mp_batch_analyse_entry(
-        self, entry: KernelEntry, batch: list
-    ) -> list:
-        """Tagged per-request results of one coalesced batch (process)."""
-        from repro.runtime.task import ExecutionMode, Task
-
-        task = Task(
-            fn=_analyse_batch_in_worker_process,
-            args=(
-                entry.kernel_id,
-                tuple(tuple(intervals) for intervals in batch),
-                self.config.validate,
-                self.config.store_dir,
-            ),
-            label="serve.analyse_batch",
-        )
-        [result] = self._mp.run([task], [ExecutionMode.ACCURATE])
-        return [self._count_item(item) for item in result.value]
 
     # ------------------------------------------------------------------
     # Handlers
@@ -772,7 +691,11 @@ class SignificanceService:
                     "input_names": list(entry.input_names),
                     "simplify": entry.simplify,
                     "quality_metric": entry.quality_metric,
-                    "cache": self.caches[kid].stats(),
+                    "cache": (
+                        self.caches[kid].stats()
+                        if self.caches
+                        else dict(self._outcomes[kid])
+                    ),
                 }
             )
         return json_response({"kernels": kernels})
@@ -823,42 +746,21 @@ class SignificanceService:
         if info is not None:
             info["kernel"] = entry.kernel_id
         t_dispatch = time.perf_counter()
-        if self._batchers is not None:
-            item, size, index = await self._batchers[entry.kernel_id].submit(
-                intervals, stages=info["stages"] if info is not None else None
-            )
-            if info is not None:
-                info["stages"]["dispatch"] = time.perf_counter() - t_dispatch
-                info["batch_size"] = size
-                info["batch_index"] = index
-                if item[0] == "ok":
-                    info["outcome"] = item[2]
-            if item[0] != "ok":
-                detail = item[1]
-                if isinstance(detail, BaseException):
-                    raise detail
-                raise HttpError(500, str(detail))
-            _, body, outcome = item
-            batch_header = f"{size}/{index}"
-        elif self._mp is not None:
-            body, outcome = await self._in_worker(
-                lambda: self._mp_analyse_entry(entry, intervals)
-            )
-            batch_header = "1/0"
-        else:
-            report, outcome = await self._in_worker(
-                lambda: self._analyse_entry(entry, intervals)
-            )
-            # The body is exactly the in-process serialisation —
-            # byte-identical to report_to_json of a local analysis of
-            # the same ranges.
-            body = report_to_json(report).encode("utf-8")
-            batch_header = "1/0"
+        item, size, index = await self._batchers[entry.kernel_id].submit(
+            intervals, stages=info["stages"] if info is not None else None
+        )
+        if info is not None:
+            info["stages"]["dispatch"] = time.perf_counter() - t_dispatch
+            info["batch_size"] = size
+            info["batch_index"] = index
+        if item[0] != "ok":
+            raise HttpError(500, item[1])
+        # The body is exactly the in-process serialisation — byte-identical
+        # to report_to_json of a local analysis of the same ranges.
+        _, body, outcome = item
+        self._count(entry.kernel_id, outcome)
         if info is not None:
             info["outcome"] = outcome
-            info["stages"].setdefault(
-                "dispatch", time.perf_counter() - t_dispatch
-            )
         return Response(
             body=body,
             headers={
@@ -867,13 +769,11 @@ class SignificanceService:
                 # "<batch size>/<lane index>": how many requests shared
                 # this response's replay sweep and which lane this one
                 # was.  "1/0" means it rode alone.
-                "X-Repro-Batch": batch_header,
+                "X-Repro-Batch": f"{size}/{index}",
             },
         )
 
     async def _handle_advise(self, request: Request) -> Response:
-        from repro.scorpio.advisor import render_advice, suggest_approximations
-
         payload = request.json()
         entry = self._entry(payload)
         intervals = self._intervals(payload, entry)
@@ -882,60 +782,11 @@ class SignificanceService:
             threshold, bool
         ):
             raise HttpError(400, "'threshold' must be a number")
-
-        if self._mp is not None:
-            # Like /analyse, the body runs in a pool worker (the worker
-            # analyses against its own cache and renders the advice
-            # there — the report object never crosses the pipe).
-            from repro.runtime.task import ExecutionMode, Task
-
-            def work():
-                task = Task(
-                    fn=_advise_in_worker_process,
-                    args=(
-                        entry.kernel_id,
-                        tuple(intervals),
-                        float(threshold),
-                        self.config.validate,
-                        self.config.store_dir,
-                    ),
-                    label="serve.advise",
-                )
-                [result] = self._mp.run([task], [ExecutionMode.ACCURATE])
-                return result.value
-
-            payload_out, outcome = await self._in_worker(work)
-            counter = _OUTCOME_COUNTER.get(outcome)
-            if counter is not None:
-                counter.inc()
-            return json_response(
-                payload_out, headers={"X-Repro-Cache": outcome}
-            )
-
-        def work():
-            report, outcome = self._analyse_entry(entry, intervals)
-            return suggest_approximations(report, float(threshold)), outcome
-
-        suggestions, outcome = await self._in_worker(work)
-        return json_response(
-            {
-                "kernel": entry.kernel_id,
-                "threshold": float(threshold),
-                "suggestions": [
-                    {
-                        "node_id": s.node_id,
-                        "op": s.op,
-                        "replacement": s.replacement,
-                        "significance": s.significance,
-                        "cost_saving": s.cost_saving,
-                        "score": s.score,
-                    }
-                    for s in suggestions
-                ],
-                "advice": render_advice(suggestions),
-            },
-            headers={"X-Repro-Cache": outcome},
+        payload_out, outcome = await self._run(
+            _advise, entry, intervals, float(threshold)
         )
+        self._count(entry.kernel_id, outcome)
+        return json_response(payload_out, headers={"X-Repro-Cache": outcome})
 
     async def _handle_tune(self, request: Request) -> Response:
         payload = request.json()
@@ -954,37 +805,15 @@ class SignificanceService:
             not isinstance(size, int) or isinstance(size, bool) or size < 2
         ):
             raise HttpError(400, "'size' must be an integer >= 2")
-
-        if self._mp is not None:
-            # Ratio-search bodies follow the backend too: run the whole
-            # probe loop in a pool worker and relay its JSON payload.
-            from repro.runtime.task import ExecutionMode, Task
-
-            def work():
-                task = Task(
-                    fn=_tune_in_worker_process,
-                    args=(
-                        entry.kernel_id,
-                        size,
-                        None if target_quality is None else float(target_quality),
-                        None if energy_budget is None else float(energy_budget),
-                    ),
-                    label="serve.tune",
-                )
-                [result] = self._mp.run([task], [ExecutionMode.ACCURATE])
-                return result.value
-
-            return json_response(await self._in_worker(work))
-
-        def work():
-            return _tune_in_worker_process(
-                entry.kernel_id,
+        return json_response(
+            await self._run(
+                _tune,
+                entry,
                 size,
                 None if target_quality is None else float(target_quality),
                 None if energy_budget is None else float(energy_budget),
             )
-
-        return json_response(await self._in_worker(work))
+        )
 
 
 class ServiceThread:

@@ -37,9 +37,10 @@ see the coalescing.  Batch sizes are observed in the ``serve.batch.size``
 histogram.
 
 Error isolation: the dispatch returns one *tagged item* per request —
-``("ok", body, outcome)`` or ``("err", exception)`` — so one bad request
-in a batch fails alone while its companions answer normally, exactly as
-if each had been dispatched by itself.
+``("ok", body, outcome)`` or ``("err", detail)``, where ``detail`` is the
+string the request's 500 answer carries, the same on both backends — so
+one bad request in a batch fails alone while its companions answer
+normally, exactly as if each had been dispatched by itself.
 """
 
 from __future__ import annotations

@@ -79,6 +79,20 @@ class TestServeProcessBackend:
         assert tuned["mode"] == "target_quality"
         assert "taskwait" in tuned and "probes" in tuned
 
+        requests = [
+            ("/advise", {"kernel": "blackscholes", "threshold": 0.25}),
+            ("/tune", {"kernel": "dct", "target_quality": 30.0, "size": 16}),
+        ]
+        with ServiceThread(config=ServiceConfig(port=0)) as reference:
+            ref_bodies = [
+                reference.client().request_raw("POST", path, payload)[2]
+                for path, payload in requests
+            ]
+        for (path, payload), ref_body in zip(requests, ref_bodies):
+            status, _, body = client.request_raw("POST", path, payload)
+            assert status == 200
+            assert body == ref_body, path
+
 
 class TestWorkerTapeStore:
     def test_pool_workers_attach_persisted_tapes(self, tmp_path):

@@ -122,15 +122,24 @@ class TestConfigSurface:
         assert health["max_batch"] == 7
         assert health["store_dir"] == str(tmp_path)
 
-    def test_max_batch_one_disables_batching(self):
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_max_batch_one_disables_batching(self, backend):
+        entry = default_registry()["blackscholes"]
+        expect = report_to_json(
+            entry.analyse_in_process(entry.defaults())
+        ).encode("utf-8")
         with ServiceThread(
-            config=ServiceConfig(port=0, max_batch=1)
+            config=ServiceConfig(
+                port=0, max_batch=1, executor=backend, workers=2
+            )
         ) as service:
             with service.client() as client:
-                _, _, batch, _ = client.analyse_detail("blackscholes")
+                body, _, batch, _ = client.analyse_detail("blackscholes")
                 assert batch == (1, 0)
-                _, _, batch, _ = client.analyse_detail("blackscholes")
+                assert body == expect
+                body, _, batch, _ = client.analyse_detail("blackscholes")
                 assert batch == (1, 0)
+                assert body == expect
 
     def test_store_dir_from_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TAPE_DIR", str(tmp_path))
