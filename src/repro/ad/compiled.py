@@ -32,13 +32,19 @@ ranked by ``(-consumer index, parent position)`` and applied rank by rank,
 so within one vectorized apply step all destinations are distinct (plain
 fancy-indexed gather/add/scatter, no ``np.add.at``) and each destination
 sees its contributions in exactly the object sweep's order.
+
+Nothing writes a compiled tape's columns after compilation: each replay
+returns its own state (:class:`ReplayState` / :class:`ReplayLanes`) and
+each sweep borrows work buffers from a per-tape free list.  So threads
+replay one tape concurrently, and the columns may be read-only views.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from itertools import chain
 from operator import attrgetter
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -49,7 +55,7 @@ from repro.obs.trace import span as _span
 
 from .tape import Tape
 
-__all__ = ["CompiledTape", "ReplayLanes"]
+__all__ = ["CompiledTape", "ReplayLanes", "ReplayState"]
 
 _C_COMPILES = _metrics.counter("ad.compiles")
 _C_SWEEPS = _metrics.counter("ad.compiled_sweeps")
@@ -65,6 +71,21 @@ _GET_PARENTS = attrgetter("parents")
 _GET_PARTIALS = attrgetter("partials")
 _GET_LABEL = attrgetter("label")
 
+# The array columns that, with the op-name table, labels, guards and aux
+# map, fully describe a compiled tape: what repro.mp and the tape store
+# ship, and the array keywords of CompiledTape.from_arrays.
+_FROZEN_COLUMNS = (
+    "opcodes",
+    "value_is_interval",
+    "row_ptr",
+    "parent_idx",
+    "depth",
+    "value_lo",
+    "value_hi",
+    "partial_lo",
+    "partial_hi",
+)
+
 
 def _csr_gather(row_ptr: np.ndarray, data: np.ndarray, rows: np.ndarray):
     """Concatenate ``data[row_ptr[r]:row_ptr[r+1]]`` for every row in order."""
@@ -78,6 +99,17 @@ def _csr_gather(row_ptr: np.ndarray, data: np.ndarray, rows: np.ndarray):
     out_idx = np.repeat(starts - np.concatenate(([0], counts[:-1])).cumsum(), counts)
     out_idx += np.arange(total)
     return data[out_idx]
+
+
+def _buf(
+    scratch: dict[str, np.ndarray], key: str, shape: tuple[int, ...]
+) -> np.ndarray:
+    """The float64 work array ``scratch[key]``, (re)allocated to ``shape``."""
+    a = scratch.get(key)
+    if a is None or a.shape != shape:
+        a = np.empty(shape, dtype=np.float64)
+        scratch[key] = a
+    return a
 
 
 class CompiledTape:
@@ -222,10 +254,9 @@ class CompiledTape:
         binaries / clip bounds — installed on a minimal stub standing in
         for the original :class:`~repro.ad.tape.Tape`.
 
-        Arrays are adopted, not copied.  Read-only views are fine for the
-        sweeps and for :meth:`forward_lanes` (which never writes the
-        tape); the in-place :meth:`forward` path needs writable
-        value/partial arrays.  Passing the precomputed ``depth`` column
+        Arrays are adopted, not copied, and never written, so read-only
+        views serve every path: the sweeps, :meth:`forward` and
+        :meth:`forward_lanes`.  Passing the precomputed ``depth`` column
         skips the Python depth pass, leaving only vectorized schedule
         construction on the worker side.
         """
@@ -258,6 +289,11 @@ class CompiledTape:
 
     def __len__(self) -> int:
         return self.n
+
+    def __getstate__(self) -> dict[str, Any]:
+        # Sweep work buffers are dead between calls (hundreds of MB on a
+        # many-output tape); a copy starts with an empty free list.
+        return {**self.__dict__, "_scratch": []}
 
     # ------------------------------------------------------------------
     # Level schedule
@@ -297,7 +333,8 @@ class CompiledTape:
         self.n_levels = n_levels
         self._rank_cache: dict[int, list[np.ndarray]] = {}
         self._split_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._scratch: dict[str, np.ndarray] = {}
+        # Free list of sweep work-buffer sets (see _scratch_checkout).
+        self._scratch: list[dict[str, np.ndarray]] = []
 
         if e == 0:
             self._contrib_schedule = [
@@ -334,20 +371,25 @@ class CompiledTape:
             for lvl in range(n_levels)
         ]
 
-    def _buf(self, key: str, shape: tuple[int, ...]) -> np.ndarray:
-        """A reusable float64 work array that never escapes the tape.
+    @contextmanager
+    def _scratch_checkout(self) -> Iterator[dict[str, np.ndarray]]:
+        """Borrow one set of float64 work buffers for the duration of a call.
 
-        Replay-style workloads run many sweeps over one tape; handing the
-        sweep temporaries fresh multi-megabyte allocations each call costs
-        more in page faults than the arithmetic on them.  Only buffers
-        whose contents are dead between calls may live here — anything
-        returned to a caller must stay freshly allocated.
+        Fresh multi-megabyte sweep temporaries per call cost more in page
+        faults than the arithmetic on them.  A lone caller keeps reusing
+        one set; N concurrent callers hold N sets (``list.pop`` and
+        ``append`` are atomic, so no lock).  Only buffers whose contents
+        are dead after the call may live here.
         """
-        a = self._scratch.get(key)
-        if a is None or a.shape != shape:
-            a = np.empty(shape, dtype=np.float64)
-            self._scratch[key] = a
-        return a
+        pool = self._scratch
+        try:
+            scratch = pool.pop()
+        except IndexError:
+            scratch = {}
+        try:
+            yield scratch
+        finally:
+            pool.append(scratch)
 
     def _first_rest(self, level: int) -> tuple[np.ndarray, np.ndarray]:
         """Split a level's flat apply list into (first, rest).
@@ -417,75 +459,27 @@ class CompiledTape:
     def adjoint(
         self, seeds: Mapping[int, Any]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Level-parallel Eq. 7–9 sweep; bit-identical to ``Tape.adjoint``.
-
-        Returns ``(lo, hi)`` arrays of shape ``(n,)``.  For float tapes
-        ``lo is hi``.  Unlike the object sweep this does **not** write
-        ``node.adjoint`` back — adapters do that when materializing.
-        """
-        if not seeds:
-            raise ValueError("adjoint sweep needs at least one seeded output")
-        _C_SWEEPS.inc()
-        n = self.n
-        interval = self.interval_mode
-        rnd = interval and rounding_enabled()
-        alo = np.zeros(n, dtype=np.float64)
-        ahi = alo if not interval else np.zeros(n, dtype=np.float64)
-        for index, seed in seeds.items():
-            if not (0 <= index < n):
-                raise IndexError(f"seed index {index} outside tape")
-            if isinstance(seed, Interval):
-                slo, shi = seed.lo, seed.hi
-            else:
-                slo = shi = float(seed)
-            # The object sweep seeds via `zero + seed`, which is an
-            # outward-rounded interval add in interval mode.
-            if interval:
-                new_lo = alo[index] + slo
-                new_hi = ahi[index] + shi
-                if rnd:
-                    new_lo = np.nextafter(new_lo, _NEG_INF)
-                    new_hi = np.nextafter(new_hi, _POS_INF)
-                alo[index] = new_lo
-                ahi[index] = new_hi
-            else:
-                alo[index] = alo[index] + slo
-
-        with _span("ad.sweep") as sp:
-            sp.set(nodes=n, mode="scalar")
-            self._sweep(
-                alo[:, None], ahi[:, None], interval=interval, rnd=rnd
-            )
-        lo = alo.reshape(n)
-        hi = ahi.reshape(n)
-        return (lo, lo) if not interval else (lo, hi)
+        """:meth:`ReplayState.adjoint` over the recorded state."""
+        return self._recorded().adjoint(seeds)
 
     def adjoint_vector(
         self, outputs: Sequence[int]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Level-parallel vector sweep; bit-identical to
-        ``Tape.adjoint_vector`` (endpoint rule, no outward rounding)."""
-        m = len(outputs)
-        if m == 0:
-            raise ValueError("adjoint_vector needs at least one output")
-        _C_SWEEPS.inc()
-        n = self.n
-        lo = np.zeros((n, m), dtype=np.float64)
-        hi = np.zeros((n, m), dtype=np.float64)
-        for j, idx in enumerate(outputs):
-            if not (0 <= idx < n):
-                raise IndexError(f"output index {idx} outside tape")
-            lo[idx, j] += 1.0
-            hi[idx, j] += 1.0
-        with _span("ad.sweep") as sp:
-            sp.set(nodes=n, mode="vector", outputs=m)
-            self._sweep(lo, hi, interval=True, rnd=False, clean_nan=False)
-        return lo, hi
+        """:meth:`ReplayState.adjoint_vector` over the recorded state."""
+        return self._recorded().adjoint_vector(outputs)
+
+    def _recorded(self) -> "ReplayState":
+        return ReplayState(
+            self, self.value_lo, self.value_hi, self.partial_lo, self.partial_hi
+        )
 
     def _sweep(
         self,
         alo: np.ndarray,
         ahi: np.ndarray,
+        partial_lo: np.ndarray,
+        partial_hi: np.ndarray,
+        scratch: dict[str, np.ndarray],
         *,
         interval: bool,
         rnd: bool,
@@ -493,8 +487,10 @@ class CompiledTape:
     ) -> None:
         """Run the scheduled reverse sweep in place on ``(n, m)`` bounds.
 
-        ``interval`` selects the endpoint product rule (else the plain
-        float product); ``clean_nan`` applies the ``0·inf → 0`` cleanup of
+        ``partial_lo``/``partial_hi`` are the swept state's edge partials;
+        ``scratch`` is a :meth:`_scratch_checkout` set.  ``interval``
+        selects the endpoint product rule (else the plain float product);
+        ``clean_nan`` applies the ``0·inf → 0`` cleanup of
         ``Interval.__mul__`` (defaults to ``interval`` — the vector sweep
         disables it because ``Tape.adjoint_vector`` lets NaN propagate).
         """
@@ -505,25 +501,25 @@ class CompiledTape:
             return
         edge_src = self._edge_src
         edge_dst = self.parent_idx
-        partial_lo = self.partial_lo
-        partial_hi = self.partial_hi
         m = alo.shape[1]
         # Work buffers (reused across sweeps, keyed by m so scalar and
         # vector sweeps on one tape don't evict each other).  `w4`/`w5`
         # for the non-degenerate product path are fetched lazily below.
         bkey = str(m)
-        contrib_lo = self._buf("contrib_lo" + bkey, (e, m))
+        contrib_lo = _buf(scratch, "contrib_lo" + bkey, (e, m))
         contrib_hi = (
             contrib_lo
             if not interval
-            else self._buf("contrib_hi" + bkey, (e, m))
+            else _buf(scratch, "contrib_hi" + bkey, (e, m))
         )
-        g_lo = self._buf("sweep_glo" + bkey, (e, m))
-        g_hi = g_lo if not interval else self._buf("sweep_ghi" + bkey, (e, m))
+        g_lo = _buf(scratch, "sweep_glo" + bkey, (e, m))
+        g_hi = (
+            g_lo if not interval else _buf(scratch, "sweep_ghi" + bkey, (e, m))
+        )
         if interval:
-            w1 = self._buf("sweep_w1" + bkey, (e, m))
-            w2 = self._buf("sweep_w2" + bkey, (e, m))
-            w3 = self._buf("sweep_w3" + bkey, (e, m))
+            w1 = _buf(scratch, "sweep_w1" + bkey, (e, m))
+            w2 = _buf(scratch, "sweep_w2" + bkey, (e, m))
+            w3 = _buf(scratch, "sweep_w3" + bkey, (e, m))
         active = np.zeros(e, dtype=bool)
 
         for level in range(self.n_levels):
@@ -628,8 +624,12 @@ class CompiledTape:
                 continue
             p1 = np.multiply(plo, salo, out=w1[:k2])
             p2 = np.multiply(plo, sahi, out=w2[:k2])
-            p3 = np.multiply(phi, salo, out=self._buf("sweep_w4" + bkey, (e, m))[:k2])
-            p4 = np.multiply(phi, sahi, out=self._buf("sweep_w5" + bkey, (e, m))[:k2])
+            p3 = np.multiply(
+                phi, salo, out=_buf(scratch, "sweep_w4" + bkey, (e, m))[:k2]
+            )
+            p4 = np.multiply(
+                phi, sahi, out=_buf(scratch, "sweep_w5" + bkey, (e, m))[:k2]
+            )
             if clean_nan:
                 for p in (p1, p2, p3, p4):
                     p[np.isnan(p)] = 0.0
@@ -647,7 +647,7 @@ class CompiledTape:
                 # variants reuse the product buffers; results unchanged).
                 clo = np.minimum(p1, p2, out=w3[:k2])
                 t = np.minimum(
-                    p3, p4, out=self._buf("sweep_w6" + bkey, (e, m))[:k2]
+                    p3, p4, out=_buf(scratch, "sweep_w6" + bkey, (e, m))[:k2]
                 )
                 np.minimum(clo, t, out=clo)
                 chi = np.maximum(p1, p2, out=p2)
@@ -802,26 +802,23 @@ class CompiledTape:
         inputs: Mapping[int, Any] | Sequence[Any],
         *,
         check_guards: bool = True,
-    ) -> "CompiledTape":
-        """Re-evaluate the frozen trace on fresh input intervals, in place.
+    ) -> "ReplayState":
+        """Re-evaluate the frozen trace on fresh input intervals.
 
         ``inputs`` is either a sequence of intervals parallel to the
         registered input nodes or a mapping from input-node index to
-        interval.  After the call :attr:`value_lo`/:attr:`value_hi` and
-        :attr:`partial_lo`/:attr:`partial_hi` hold exactly the bounds a
-        fresh recording of the same program on these inputs would produce
-        (bit for bit, honouring the global rounding flag at call time), so
-        the existing :meth:`adjoint`/:meth:`adjoint_vector` sweeps — and
-        scorpio's analysis on top — run unchanged on the replayed state.
+        interval.  The returned :class:`ReplayState` owns fresh value and
+        partial columns holding exactly the bounds a recording of the
+        same program on these inputs would produce (bit for bit,
+        honouring the global rounding flag at call time).  The compiled
+        tape itself is not modified.
 
         With ``check_guards`` (default) the comparisons recorded on the
         source tape are re-evaluated on the replayed values; a flipped or
         ambiguous outcome raises
         :class:`~repro.ad.replay.GuardDivergenceError` /
         :class:`~repro.intervals.AmbiguousComparisonError` so callers can
-        fall back to re-recording.  A failed replay leaves the arrays
-        partially updated; the next successful :meth:`forward` overwrites
-        them completely.
+        fall back to re-recording.
         """
         from .replay import check_guards as _check
 
@@ -835,7 +832,12 @@ class CompiledTape:
                 raise ValueError(
                     f"trace has {len(input_nodes)} inputs, got {len(values)}"
                 )
-        vlo, vhi = self.value_lo, self.value_hi
+        # Writable copies (np.array also unwraps memmaps); constants keep
+        # their recorded values, everything else is overwritten.
+        vlo = np.array(self.value_lo)
+        vhi = np.array(self.value_hi)
+        plo = np.array(self.partial_lo)
+        phi = np.array(self.partial_hi)
         for j, value in zip(input_nodes, values):
             iv = as_interval(value)
             vlo[j] = iv.lo
@@ -843,12 +845,10 @@ class CompiledTape:
         _C_FORWARDS.inc()
         with _span("ad.forward") as sp:
             sp.set(nodes=self.n)
-            plan.run(
-                vlo, vhi, self.partial_lo, self.partial_hi, rounding_enabled()
-            )
+            plan.run(vlo, vhi, plo, phi, rounding_enabled())
             if check_guards:
                 _check(self.tape.guards, vlo, vhi)
-        return self
+        return ReplayState(self, vlo, vhi, plo, phi)
 
     def forward_lanes(
         self,
@@ -909,14 +909,14 @@ class CompiledTape:
         return self.parent_idx[self.row_ptr[index] : self.row_ptr[index + 1]]
 
 
-class ReplayLanes:
-    """The state of one lane-batched forward replay.
+class ReplayState:
+    """The state of one scalar forward replay.
 
-    Holds the ``(n, L)`` value bounds and ``(e, L)`` edge-partial bounds
-    produced by :meth:`CompiledTape.forward_lanes`, and runs lane-batched
-    reverse sweeps over them.  Lane ``l`` of every result is bit-identical
-    to recording the program on lane ``l``'s inputs and sweeping the
-    object tape.
+    Holds the ``(n,)`` value bounds and ``(e,)`` edge-partial bounds
+    produced by :meth:`CompiledTape.forward`, and runs the reverse sweeps
+    over them — bit-identical to recording the program on the replayed
+    inputs and sweeping the object tape.  Each replay owns its state, so
+    concurrent replays of one tape never share an array.
     """
 
     __slots__ = ("ct", "value_lo", "value_hi", "partial_lo", "partial_hi")
@@ -928,16 +928,107 @@ class ReplayLanes:
         self.partial_lo = plo
         self.partial_hi = phi
 
+    def adjoint(
+        self, seeds: Mapping[int, Any]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Level-parallel Eq. 7–9 sweep; bit-identical to ``Tape.adjoint``.
+
+        Returns ``(lo, hi)`` arrays of shape ``(n,)``.  For float tapes
+        ``lo is hi``.  Unlike the object sweep this does **not** write
+        ``node.adjoint`` back — adapters do that when materializing.
+        """
+        if not seeds:
+            raise ValueError("adjoint sweep needs at least one seeded output")
+        _C_SWEEPS.inc()
+        ct = self.ct
+        n = ct.n
+        interval = ct.interval_mode
+        rnd = interval and rounding_enabled()
+        alo = np.zeros(n, dtype=np.float64)
+        ahi = alo if not interval else np.zeros(n, dtype=np.float64)
+        for index, seed in seeds.items():
+            if not (0 <= index < n):
+                raise IndexError(f"seed index {index} outside tape")
+            if isinstance(seed, Interval):
+                slo, shi = seed.lo, seed.hi
+            else:
+                slo = shi = float(seed)
+            # The object sweep seeds via `zero + seed`, which is an
+            # outward-rounded interval add in interval mode.
+            if interval:
+                new_lo = alo[index] + slo
+                new_hi = ahi[index] + shi
+                if rnd:
+                    new_lo = np.nextafter(new_lo, _NEG_INF)
+                    new_hi = np.nextafter(new_hi, _POS_INF)
+                alo[index] = new_lo
+                ahi[index] = new_hi
+            else:
+                alo[index] = alo[index] + slo
+
+        with _span("ad.sweep") as sp, ct._scratch_checkout() as scratch:
+            sp.set(nodes=n, mode="scalar")
+            ct._sweep(
+                alo[:, None],
+                ahi[:, None],
+                self.partial_lo,
+                self.partial_hi,
+                scratch,
+                interval=interval,
+                rnd=rnd,
+            )
+        lo = alo.reshape(n)
+        hi = ahi.reshape(n)
+        return (lo, lo) if not interval else (lo, hi)
+
+    def adjoint_vector(
+        self, outputs: Sequence[int]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Level-parallel vector sweep; bit-identical to
+        ``Tape.adjoint_vector`` (endpoint rule, no outward rounding)."""
+        m = len(outputs)
+        if m == 0:
+            raise ValueError("adjoint_vector needs at least one output")
+        _C_SWEEPS.inc()
+        ct = self.ct
+        n = ct.n
+        lo = np.zeros((n, m), dtype=np.float64)
+        hi = np.zeros((n, m), dtype=np.float64)
+        for j, idx in enumerate(outputs):
+            if not (0 <= idx < n):
+                raise IndexError(f"output index {idx} outside tape")
+            lo[idx, j] += 1.0
+            hi[idx, j] += 1.0
+        with _span("ad.sweep") as sp, ct._scratch_checkout() as scratch:
+            sp.set(nodes=n, mode="vector", outputs=m)
+            ct._sweep(
+                lo,
+                hi,
+                self.partial_lo,
+                self.partial_hi,
+                scratch,
+                interval=True,
+                rnd=False,
+                clean_nan=False,
+            )
+        return lo, hi
+
+
+class ReplayLanes(ReplayState):
+    """The state of one lane-batched forward replay.
+
+    Holds the ``(n, L)`` value bounds and ``(e, L)`` edge-partial bounds
+    produced by :meth:`CompiledTape.forward_lanes`, and runs lane-batched
+    reverse sweeps over them.  Lane ``l`` of every result is bit-identical
+    to recording the program on lane ``l``'s inputs and sweeping the
+    object tape.
+    """
+
+    __slots__ = ()
+
     @property
     def n_lanes(self) -> int:
         return self.value_lo.shape[1]
-
-    def value(self, index: int, lane: int) -> Interval:
-        """The replayed forward value of one node in one lane."""
-        return Interval(
-            float(self.value_lo[index, lane]),
-            float(self.value_hi[index, lane]),
-        )
 
     def adjoint(
         self, seeds: Mapping[int, Any]
@@ -1022,6 +1113,15 @@ class _AuxNodes:
 
     def __getitem__(self, index: int) -> _AuxNode:
         return _AuxNode(self._aux.get(index))
+
+
+def _frozen_aux(ct: CompiledTape) -> dict[int, Any]:
+    """The sparse ``{index: aux}`` map that :meth:`CompiledTape.from_arrays`
+    takes back: the aux payloads of a recorded or rebuilt tape."""
+    nodes = ct.tape.nodes
+    if isinstance(nodes, _AuxNodes):
+        return dict(nodes._aux)
+    return {j: node.aux for j, node in enumerate(nodes) if node.aux is not None}
 
 
 class _StubTape:

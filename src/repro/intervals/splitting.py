@@ -114,7 +114,7 @@ class ReplayEvaluator:
 
             for ct, out_idx in self._traces:
                 try:
-                    ct.forward(intervals)
+                    state = ct.forward(intervals)
                 except GuardDivergenceError:
                     self.divergences += 1
                     continue
@@ -124,7 +124,8 @@ class ReplayEvaluator:
                     continue
                 self.replays += 1
                 return Interval(
-                    float(ct.value_lo[out_idx]), float(ct.value_hi[out_idx])
+                    float(state.value_lo[out_idx]),
+                    float(state.value_hi[out_idx]),
                 )
         return self._record(intervals)
 

@@ -36,7 +36,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from repro.ad.compiled import CompiledTape, _AuxNodes
+from repro.ad.compiled import _FROZEN_COLUMNS, CompiledTape, _frozen_aux
 from repro.obs.trace import span as _obs_span
 
 __all__ = ["SharedArray", "SharedTape", "unlink_all", "live_segments"]
@@ -232,18 +232,6 @@ class SharedArray:
         return f"SharedArray({self.name!r}, {self.shape}, {self.dtype_str}, {mode})"
 
 
-# The frozen columns a tape ships.  value/partial arrays are the ones the
-# in-place forward path mutates; everything else is pure structure.
-_STRUCTURE_COLS = (
-    "opcodes",
-    "value_is_interval",
-    "row_ptr",
-    "parent_idx",
-    "depth",
-)
-_VALUE_COLS = ("value_lo", "value_hi", "partial_lo", "partial_hi")
-
-
 class SharedTape:
     """A :class:`CompiledTape` frozen into shared memory, picklable by name.
 
@@ -300,56 +288,29 @@ class SharedTape:
         output ids, delta); it travels inside the handle, not in shm.
         """
         arrays = {
-            col: SharedArray.create(getattr(ct, col)) for col in _STRUCTURE_COLS
+            col: SharedArray.create(getattr(ct, col)) for col in _FROZEN_COLUMNS
         }
-        for col in _VALUE_COLS:
-            arrays[col] = SharedArray.create(getattr(ct, col))
-        nodes = ct.tape.nodes
-        if isinstance(nodes, _AuxNodes):
-            aux = dict(nodes._aux)
-        else:
-            aux = {
-                j: node.aux
-                for j, node in enumerate(nodes)
-                if node.aux is not None
-            }
-        return cls(arrays, ct.op_names, ct.labels, ct.tape.guards, aux, meta)
+        return cls(
+            arrays, ct.op_names, ct.labels, ct.tape.guards, _frozen_aux(ct), meta
+        )
 
-    def attach(self, *, writable_values: bool = False) -> CompiledTape:
+    def attach(self) -> CompiledTape:
         """Rebuild a ``CompiledTape`` over this process's views.
 
-        With ``writable_values=False`` (the default) the value/partial
-        columns are zero-copy read-only views — exactly what the
-        lane-replay path needs, since :meth:`CompiledTape.forward_lanes`
-        never writes the tape.  ``writable_values=True`` gives the tape
-        private writable *copies* of the four value/partial columns so
-        the in-place :meth:`CompiledTape.forward` path works; structure
-        stays zero-copy either way.
+        Every column, value and partial columns included, is a zero-copy
+        read-only view: nothing writes a compiled tape after compilation,
+        and both :meth:`CompiledTape.forward` and
+        :meth:`CompiledTape.forward_lanes` replay into per-call state.
         """
         with _obs_span("mp.shared.attach") as sp:
-            sp.set(writable_values=writable_values, columns=len(self.arrays))
-            return self._attach(writable_values=writable_values)
-
-    def _attach(self, *, writable_values: bool) -> CompiledTape:
-        cols = {col: self.arrays[col].view() for col in _STRUCTURE_COLS}
-        for col in _VALUE_COLS:
-            handle = self.arrays[col]
-            cols[col] = handle.copy() if writable_values else handle.view()
-        return CompiledTape.from_arrays(
-            opcodes=cols["opcodes"],
-            op_names=self.op_names,
-            value_lo=cols["value_lo"],
-            value_hi=cols["value_hi"],
-            value_is_interval=cols["value_is_interval"],
-            row_ptr=cols["row_ptr"],
-            parent_idx=cols["parent_idx"],
-            partial_lo=cols["partial_lo"],
-            partial_hi=cols["partial_hi"],
-            depth=cols["depth"],
-            labels=self.labels,
-            guards=self.guards,
-            aux=self.aux,
-        )
+            sp.set(columns=len(self.arrays))
+            return CompiledTape.from_arrays(
+                op_names=self.op_names,
+                labels=self.labels,
+                guards=self.guards,
+                aux=self.aux,
+                **{col: h.view() for col, h in self.arrays.items()},
+            )
 
     def close(self) -> None:
         """Release every column segment (unlink those this process owns)."""

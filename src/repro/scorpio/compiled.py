@@ -33,7 +33,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from repro.ad.compiled import CompiledTape, _csr_gather
+from repro.ad.compiled import CompiledTape, ReplayState, _buf, _csr_gather
 from repro.ad.tape import Tape
 from repro.intervals import Interval
 from repro.intervals.rounding import rounding_enabled
@@ -124,20 +124,15 @@ def eq11_vector(
 
     ``scratch`` may hold reusable work buffers (keyed by this function,
     reallocated on shape changes); callers analysing many replays of one
-    tape pass the tape's pool to avoid re-faulting fresh pages per call.
-    Only the returned sum is ever exposed, so reuse cannot alias results.
+    tape pass a buffer set checked out of the tape's free list to avoid
+    re-faulting fresh pages per call.  Only the returned sum is ever
+    exposed, so reuse cannot alias results.
     """
     if not interval_mode:
         return np.sum(np.abs(value_lo[:, None] * adj_lo), axis=1)
 
     def buf(key: str) -> np.ndarray:
-        if scratch is None:
-            return np.empty(adj_lo.shape, dtype=np.float64)
-        a = scratch.get(key)
-        if a is None or a.shape != adj_lo.shape:
-            a = np.empty(adj_lo.shape, dtype=np.float64)
-            scratch[key] = a
-        return a
+        return _buf({} if scratch is None else scratch, key, adj_lo.shape)
 
     point = value_lo == value_hi
     any_point = point.any()
@@ -709,7 +704,7 @@ class TraceStructure:
 
 
 def analyse_compiled_tape(
-    ct: CompiledTape,
+    state: CompiledTape | ReplayState,
     output_ids: Sequence[int],
     *,
     input_ids: Sequence[int] = (),
@@ -718,15 +713,16 @@ def analyse_compiled_tape(
     simplify: bool = True,
     structure: TraceStructure | None = None,
 ) -> SignificanceReport:
-    """ANALYSE over a compiled tape's *current* arrays.
+    """ANALYSE over one state of a compiled tape.
 
-    Unlike :func:`analyse_compiled` this reads every node value, opcode
-    and parent from the :class:`CompiledTape` columns rather than the
-    source ``tape.nodes`` — which is what makes it valid after
-    :meth:`CompiledTape.forward` replayed fresh inputs over the arrays
-    (the object nodes then hold the *recorded* values, the arrays the
-    *replayed* ones).  Pass a precomputed :class:`TraceStructure` to skip
-    the per-call S4/BFS work when analysing many replays of one trace.
+    ``state`` is either a :class:`CompiledTape` (its own recorded
+    columns) or the :class:`~repro.ad.compiled.ReplayState` a
+    :meth:`CompiledTape.forward` call returned for fresh inputs.  Unlike
+    :func:`analyse_compiled` this reads every node value, opcode and
+    parent from the columns rather than the source ``tape.nodes`` (which
+    hold the *recorded* values).  Pass a precomputed
+    :class:`TraceStructure` to skip the per-call S4/BFS work when
+    analysing many replays of one trace.
 
     Returns a :class:`SignificanceReport` byte-identical (through
     ``report_to_json``) to the object pipeline run on an equivalent
@@ -734,9 +730,9 @@ def analyse_compiled_tape(
     """
     _C_ANALYSES.inc()
     with _obs_span("scorpio.analyse") as span_:
-        span_.set(nodes=ct.n, backend="compiled")
+        span_.set(nodes=len(state.value_lo), backend="compiled")
         return _analyse_compiled_tape(
-            ct,
+            state,
             output_ids,
             input_ids=input_ids,
             intermediate_ids=intermediate_ids,
@@ -747,7 +743,7 @@ def analyse_compiled_tape(
 
 
 def _analyse_compiled_tape(
-    ct: CompiledTape,
+    state: CompiledTape | ReplayState,
     output_ids: Sequence[int],
     *,
     input_ids: Sequence[int] = (),
@@ -756,6 +752,7 @@ def _analyse_compiled_tape(
     simplify: bool = True,
     structure: TraceStructure | None = None,
 ) -> SignificanceReport:
+    ct = state if isinstance(state, CompiledTape) else state.ct
     output_ids = list(output_ids)
     if not output_ids:
         raise ValueError("analyse_compiled needs at least one output")
@@ -767,11 +764,11 @@ def _analyse_compiled_tape(
         )
     n = ct.n
     interval = ct.interval_mode
-    value_lo = ct.value_lo
-    value_hi = ct.value_hi
+    value_lo = state.value_lo
+    value_hi = state.value_hi
 
     if len(output_ids) == 1:
-        alo, ahi = ct.adjoint({output_ids[0]: 1.0})
+        alo, ahi = state.adjoint({output_ids[0]: 1.0})
         with _obs_span("scorpio.eq11") as sp:
             sig = eq11_from_sweep(
                 value_lo, value_hi, alo, ahi, interval_mode=interval
@@ -781,30 +778,26 @@ def _analyse_compiled_tape(
             _interval_rows(alo, ahi) if interval else _float_rows(alo)
         )
     else:
-        lo, hi = ct.adjoint_vector(output_ids)
+        lo, hi = state.adjoint_vector(output_ids)
         with _obs_span("scorpio.eq11") as sp:
-            sig = eq11_vector(
-                value_lo,
-                value_hi,
-                lo,
-                hi,
-                interval_mode=interval,
-                scratch=ct._scratch,
-            )
+            with ct._scratch_checkout() as scratch:
+                sig = eq11_vector(
+                    value_lo,
+                    value_hi,
+                    lo,
+                    hi,
+                    interval_mode=interval,
+                    scratch=scratch,
+                )
             sp.set(nodes=n, outputs=len(output_ids))
         adjoint_rows = _hull_rows(lo, hi)
 
-    # Snapshot the value columns eagerly: a later `ct.forward` overwrites
-    # them in place, and the report's lazy graphs must keep showing the
-    # values this analysis ran on.  (The adjoint arrays are fresh per
-    # call, and `value_is_interval` is never written after compilation,
-    # so closing over them is safe.)
     return _assemble_from_columns(
         structure=structure,
         sig_list=sig.tolist(),
         objects=_NodeObjects(
-            value_lo.copy(),
-            value_hi.copy(),
+            value_lo,
+            value_hi,
             ct.value_is_interval,
             adjoint_rows,
         ),

@@ -9,11 +9,10 @@ that to disk — one ``.bin`` file of raw contiguous array bytes and one
 spirit of ILAC's variant hashing (every variant keyed by a digest of its
 identity, so repeated runs resume instead of recompute).
 
-Loading maps the structure columns straight off the file with
-``np.memmap`` (read-only, zero-copy until touched) and gives the tape
-private writable copies of the four value/partial columns — the same
-split :class:`repro.mp.SharedTape` uses, because the in-place
-:meth:`CompiledTape.forward` replay writes those and only those.
+Loading maps every column straight off the file with ``np.memmap``
+(read-only, zero-copy until touched), as :class:`repro.mp.SharedTape`
+maps shared memory: nothing writes a compiled tape after compilation,
+and :meth:`CompiledTape.forward` replays into per-call state.
 
 The payoff is warm starts: ``TraceCache(store_dir=...)`` (or the
 ``REPRO_TAPE_DIR`` environment variable via :mod:`repro.serve`) loads a
@@ -53,7 +52,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from repro import __version__ as _REPRO_VERSION
-from repro.ad.compiled import CompiledTape, _AuxNodes
+from repro.ad.compiled import _FROZEN_COLUMNS, CompiledTape, _frozen_aux
 from repro.intervals import Interval
 from repro.obs import metrics as _obs_metrics
 
@@ -66,19 +65,6 @@ _C_SAVES = _obs_metrics.counter("tape_store.saves")
 _C_LOADS = _obs_metrics.counter("tape_store.loads")
 _C_MISSES = _obs_metrics.counter("tape_store.misses")
 _C_ERRORS = _obs_metrics.counter("tape_store.errors")
-
-# Column split mirrors repro.mp.shared: structure stays a read-only view
-# (memmap here, shm there); value/partial columns get private writable
-# copies because CompiledTape.forward mutates them in place.
-_STRUCTURE_COLS = (
-    "opcodes",
-    "value_is_interval",
-    "row_ptr",
-    "parent_idx",
-    "depth",
-)
-_VALUE_COLS = ("value_lo", "value_hi", "partial_lo", "partial_hi")
-
 
 def store_key_digest(key: Any) -> str:
     """Filename-safe digest of a cache key (hash-keyed kernel identity)."""
@@ -190,12 +176,7 @@ class TapeStore:
     # save
     # ------------------------------------------------------------------
     def save(self, key: Any, trace: Any) -> bool:
-        """Serialize a :class:`CachedTrace`'s compiled tape; False on error.
-
-        The caller is expected to hold the trace's replay lock (the
-        value columns are read while serializing); :class:`TraceCache`
-        saves right after recording, before any replay can run.
-        """
+        """Serialize a :class:`CachedTrace`'s compiled tape; False on error."""
         try:
             self._save(key, trace)
         except Exception:
@@ -208,7 +189,7 @@ class TapeStore:
         ct: CompiledTape = trace.ct
         header_path, blob_path = self.paths_for(key)
         arrays: dict[str, np.ndarray] = {}
-        for col in _STRUCTURE_COLS + _VALUE_COLS:
+        for col in _FROZEN_COLUMNS:
             arrays[col] = np.ascontiguousarray(getattr(ct, col))
         manifest: dict[str, dict[str, Any]] = {}
         offset = 0
@@ -220,15 +201,6 @@ class TapeStore:
                 "nbytes": int(arr.nbytes),
             }
             offset += int(arr.nbytes)
-        nodes = ct.tape.nodes
-        if isinstance(nodes, _AuxNodes):
-            aux = dict(nodes._aux)
-        else:
-            aux = {
-                j: node.aux
-                for j, node in enumerate(nodes)
-                if node.aux is not None
-            }
         header = {
             "store_version": STORE_VERSION,
             "repro_version": _REPRO_VERSION,
@@ -237,7 +209,7 @@ class TapeStore:
             "op_names": list(ct.op_names),
             "labels": {str(i): lab for i, lab in ct.labels.items()},
             "guards": [_encode(g) for g in ct.tape.guards],
-            "aux": {str(i): _encode(v) for i, v in aux.items()},
+            "aux": {str(i): _encode(v) for i, v in _frozen_aux(ct).items()},
             "input_ids": list(trace.input_ids),
             "intermediate_ids": list(trace.intermediate_ids),
             "output_ids": list(trace.output_ids),
@@ -311,19 +283,18 @@ class TapeStore:
             return None
         if blob_size < int(header["total_bytes"]):
             return None
-        cols: dict[str, np.ndarray] = {}
-        for col in _STRUCTURE_COLS + _VALUE_COLS:
-            spec = manifest[col]
-            mm = np.memmap(
+        # Every column stays a lazily paged read-only map: nothing writes
+        # a compiled tape after compilation.
+        cols = {
+            col: np.memmap(
                 blob_path,
-                dtype=np.dtype(spec["dtype"]),
+                dtype=np.dtype(manifest[col]["dtype"]),
                 mode="r",
-                offset=int(spec["offset"]),
-                shape=tuple(spec["shape"]),
+                offset=int(manifest[col]["offset"]),
+                shape=tuple(manifest[col]["shape"]),
             )
-            # Structure columns stay lazily-paged read-only maps; value
-            # columns must be private and writable for in-place forward.
-            cols[col] = np.array(mm) if col in _VALUE_COLS else mm
+            for col in _FROZEN_COLUMNS
+        }
         op_names = list(header["op_names"])
         op_hash = _compiled_op_hash(
             op_names,
@@ -335,19 +306,11 @@ class TapeStore:
         if op_hash != header["op_hash"]:
             return None
         ct = CompiledTape.from_arrays(
-            opcodes=cols["opcodes"],
             op_names=op_names,
-            value_lo=cols["value_lo"],
-            value_hi=cols["value_hi"],
-            value_is_interval=cols["value_is_interval"],
-            row_ptr=cols["row_ptr"],
-            parent_idx=cols["parent_idx"],
-            partial_lo=cols["partial_lo"],
-            partial_hi=cols["partial_hi"],
-            depth=cols["depth"],
             labels={int(i): lab for i, lab in header["labels"].items()},
             guards=[_decode(g) for g in header["guards"]],
             aux={int(i): _decode(v) for i, v in header["aux"].items()},
+            **cols,
         )
         return CachedTrace.from_compiled(
             ct,

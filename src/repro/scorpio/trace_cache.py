@@ -23,9 +23,11 @@ rejected up front by the replay structure guard and fall back to
 recording; input-dependent control flow is caught by re-checking the
 recorded comparison outcomes on the replayed values — a divergent branch
 raises :class:`~repro.ad.replay.GuardDivergenceError` and the cache
-transparently re-records.  ``validate=True`` additionally re-records the
-first replayed sample per trace and asserts the recording really is the
-same trace (op-sequence hash) with the same values (bitwise).
+transparently re-records, as does a replay that faults (a failing request
+raises the recording's own error, warm or cold).  ``validate=True``
+additionally re-records the first replayed sample per trace and asserts
+the recording really is the same trace (op-sequence hash) with the same
+values (bitwise).
 
 The module-level replay default (:func:`replay_enabled` /
 :func:`set_replay_default`) lets the CLI's ``--replay/--no-replay`` flag
@@ -36,22 +38,21 @@ Concurrency: a :class:`TraceCache` is safe to share between threads
 (:mod:`repro.serve` hits one cache per kernel from a thread pool).  A
 per-key record lock serialises cold recording so two requests for the
 same cold kernel cannot race a half-built trace — the loser of the race
-waits, then replays.  Replay mutates the frozen trace's value arrays in
-place, so each :class:`CachedTrace` carries its own lock; the warm path
-costs one dict lookup and one uncontended lock acquisition on top of the
-replay itself.  The stats counters are guarded by a single cache-wide
-mutex.
+waits, then replays.  Replay itself takes no lock: a
+:class:`CachedTrace` is never written after it is built, and every
+replay works on its own :class:`~repro.ad.compiled.ReplayState` and
+checked-out sweep buffers, so any number of threads replay one trace at
+once.  The trace map and the stats counters are guarded by a single
+cache-wide mutex.
 
-**Both classes are per-process.**  The record/replay locks are
-``threading`` locks, invisible to other processes: two processes sharing
-a pickled cache would happily mutate "the same" trace concurrently with
-no mutual exclusion whatsoever.  Pickling a :class:`TraceCache` or
-:class:`CachedTrace` therefore raises ``TypeError`` up front.  To hand a
-trace to worker processes, use :meth:`CachedTrace.share`: it freezes the
-compiled arrays into :class:`repro.mp.SharedTape` segments whose handles
-pickle by ``(segment name, shape, dtype)``, and each worker attaches its
-own private ``CompiledTape`` (own lock-free replay state, zero-copy
-structure) — see :mod:`repro.mp`.
+A :class:`CachedTrace` is plain immutable data and pickles: the copy
+replays byte-identically in any process.  A :class:`TraceCache` holds
+``threading`` locks and refuses to pickle; give each process its own.
+To hand a trace to worker processes without copying its arrays, use
+:meth:`CachedTrace.share`: it freezes the compiled arrays into
+:class:`repro.mp.SharedTape` segments whose handles pickle by
+``(segment name, shape, dtype)``, and each worker attaches a
+``CompiledTape`` over zero-copy read-only views — see :mod:`repro.mp`.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.ad.compiled import CompiledTape
+from repro.ad.compiled import CompiledTape, ReplayState
 from repro.ad.replay import GuardDivergenceError, ReplayError
 from repro.ad.tape import Tape
 from repro.intervals import Interval, as_interval
@@ -111,6 +112,10 @@ class TraceDivergenceError(RuntimeError):
 # Sentinel distinguishing "never seen this key" from "seen and rejected"
 # (None) in the trace map.
 _MISSING: Any = object()
+
+_REPLAY_FAULTS = (
+    GuardDivergenceError, ValueError, ZeroDivisionError, OverflowError
+)
 
 
 # ----------------------------------------------------------------------
@@ -172,8 +177,6 @@ class CachedTrace:
         "simplify",
         "op_hash",
         "validated",
-        "replays",
-        "lock",
     )
 
     def __init__(self, analysis: Any, *, simplify: bool = True):
@@ -201,10 +204,6 @@ class CachedTrace:
         )
         self.op_hash = op_sequence_hash(tape)
         self.validated = False
-        self.replays = 0
-        # Replay writes into self.ct's value arrays in place; concurrent
-        # users of one trace must hold this while forwarding/analysing.
-        self.lock = threading.Lock()
 
     @classmethod
     def from_compiled(
@@ -246,17 +245,7 @@ class CachedTrace:
         )
         self.op_hash = op_hash
         self.validated = False
-        self.replays = 0
-        self.lock = threading.Lock()
         return self
-
-    def __reduce__(self):
-        raise TypeError(
-            "CachedTrace is per-process (its replay lock is a threading "
-            "lock and replay mutates the tape in place); use "
-            "CachedTrace.share() to freeze the compiled arrays into a "
-            "picklable repro.mp.SharedTape instead"
-        )
 
     def share(self, **meta: Any) -> "Any":
         """Freeze this trace into a picklable :class:`repro.mp.SharedTape`.
@@ -265,9 +254,7 @@ class CachedTrace:
         outputs), ``delta`` and ``simplify`` in its metadata alongside
         any extra ``meta`` keys, so a worker can rebuild the full
         analysis context from the handle alone.  Workers attach their
-        own private ``CompiledTape`` views — the shared segments are
-        read-only tape structure; nothing synchronises with this
-        process's replay lock.
+        own ``CompiledTape`` over read-only views of the shared segments.
         """
         from repro.mp import SharedTape
 
@@ -282,10 +269,12 @@ class CachedTrace:
             **meta,
         )
 
-    def _analyse_current(self) -> SignificanceReport:
-        """Analyse whatever the compiled arrays currently hold."""
+    def _analyse(
+        self, state: CompiledTape | ReplayState
+    ) -> SignificanceReport:
+        """Analyse the recorded state (``self.ct``) or a replayed one."""
         return analyse_compiled_tape(
-            self.ct,
+            state,
             self.output_ids,
             input_ids=self.input_ids,
             intermediate_ids=self.intermediate_ids,
@@ -302,9 +291,7 @@ class CachedTrace:
         :class:`~repro.intervals.AmbiguousComparisonError` when a recorded
         comparison is ambiguous on them (recording would raise it too).
         """
-        self.ct.forward(inputs)
-        self.replays += 1
-        return self._analyse_current()
+        return self._analyse(self.ct.forward(inputs))
 
     # ------------------------------------------------------------------
     # Lane-batched replay (the cached-trace twin of repro.vec's
@@ -381,7 +368,6 @@ class CachedTrace:
         Raises :class:`~repro.ad.replay.GuardDivergenceError` when *any*
         lane takes a different branch than the recorded trace (the guard
         check is all-lanes); callers fall back to per-item analysis.
-        The caller must hold :attr:`lock`.
         """
         L = len(inputs_batch)
         n_in = len(self.input_ids)
@@ -398,7 +384,6 @@ class CachedTrace:
                 lo[j, lane] = iv.lo
                 hi[j, lane] = iv.hi
         lanes = self.ct.forward_lanes(lo, hi)
-        self.replays += L
         return analyse_replay_lanes(
             self.ct,
             lanes,
@@ -484,7 +469,7 @@ class TraceCache:
 
     def __reduce__(self):
         raise TypeError(
-            "TraceCache is per-process (record/replay locks are threading "
+            "TraceCache is per-process (its record locks are threading "
             "locks); give each process its own cache, or share individual "
             "traces via CachedTrace.share()"
         )
@@ -565,13 +550,9 @@ class TraceCache:
                     with self._lock:
                         self._traces[key] = None
                 else:
-                    # Publish under the trace lock: a replayer that finds
-                    # the trace must not overwrite its arrays before this
-                    # recording's analysis has read them.
-                    with trace.lock:
-                        with self._lock:
-                            self._traces[key] = trace
-                        return trace._analyse_current()
+                    with self._lock:
+                        self._traces[key] = trace
+                    return trace._analyse(trace.ct)
             return analysis.analyse(simplify=simplify, compiled=True)
 
     def analyse(
@@ -626,17 +607,17 @@ class TraceCache:
             return report, "record"
         if self.validate and not trace.validated:
             self._count(self._c_validations, _C_VALIDATIONS)
-            with trace.lock:
-                self._validate(trace, recorder, inputs)
+            self._validate(trace, recorder, inputs)
         try:
-            with trace.lock:
-                with _obs_span("trace_cache.replay") as sp:
-                    sp.set(key=repr(key), outcome="replay")
-                    report = trace.analyse(inputs)
-        except GuardDivergenceError:
-            # These inputs take another branch; analyse them the slow way
-            # but keep the cached trace for inputs that don't.  Counted as
-            # a divergence, NOT as a record: stats() keeps the fallback
+            with _obs_span("trace_cache.replay") as sp:
+                sp.set(key=repr(key), outcome="replay")
+                report = trace.analyse(inputs)
+        except _REPLAY_FAULTS:
+            # These inputs take another branch (or fault on one the
+            # recording never reaches); analyse them the slow way, which
+            # either succeeds or raises the recording's own error, and
+            # keep the cached trace for inputs that replay.  Counted as a
+            # divergence, NOT as a record: stats() keeps the fallback
             # causes apart.
             self._count(self._c_divergences, _C_DIVERGENCES)
             report = self._record(
@@ -693,9 +674,9 @@ class TraceCache:
 
         Cold keys route their first item through the scalar path (which
         records, loads from the persistent store, or validates as
-        configured) and batch the remainder; guard divergence on any
-        lane falls back to per-item analysis so non-diverging lanes
-        still replay.  This is the entry point
+        configured) and batch the remainder; guard divergence or a replay
+        fault on any lane falls back to per-item analysis so the other
+        lanes still replay.  This is the entry point
         :mod:`repro.serve.batching` dispatches coalesced requests to.
         """
         inputs_batch = [
@@ -737,15 +718,14 @@ class TraceCache:
             scalar(start)
             return results
         try:
-            with trace.lock:
-                with _obs_span("trace_cache.replay_batch") as sp:
-                    sp.set(key=repr(key), lanes=len(rest), outcome="replay")
-                    reports = trace.analyse_batch(rest)
-        except GuardDivergenceError:
+            with _obs_span("trace_cache.replay_batch") as sp:
+                sp.set(key=repr(key), lanes=len(rest), outcome="replay")
+                reports = trace.analyse_batch(rest)
+        except _REPLAY_FAULTS:
             # check_guards accepts a batch only when EVERY lane
-            # reproduces the recorded outcomes, so one divergent request
-            # fails the whole sweep.  Degrade to per-item calls: the
-            # conforming lanes replay, the divergent ones re-record.
+            # reproduces the recorded outcomes, and a domain error in one
+            # lane faults the whole sweep.  Degrade to per-item calls: the
+            # conforming lanes replay, the others re-record.
             for i in range(start, len(inputs_batch)):
                 scalar(i)
             return results

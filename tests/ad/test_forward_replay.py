@@ -57,9 +57,9 @@ def test_forward_matches_rerecording_bitwise(
     with rounded_mode(rounding):
         tape_a, _ = record(steps, centered(pt_a, rad_a))
         ct = CompiledTape(tape_a)
-        ct.forward(centered(pt_b, rad_b))
+        state = ct.forward(centered(pt_b, rad_b))
         tape_b, _ = record(steps, centered(pt_b, rad_b))
-        assert_same_arrays(ct, CompiledTape(tape_b))
+        assert_same_arrays(state, CompiledTape(tape_b))
 
 
 @given(program(), points, radii, points, radii, st.booleans())
@@ -73,8 +73,8 @@ def test_adjoint_over_replayed_state_bitwise(
         tape_a, regs = record(steps, centered(pt_a, rad_a))
         out = regs[-1].node.index
         ct = CompiledTape(tape_a)
-        ct.forward(centered(pt_b, rad_b))
-        lo, hi = ct.adjoint({out: 1.0})
+        state = ct.forward(centered(pt_b, rad_b))
+        lo, hi = state.adjoint({out: 1.0})
         tape_b, _ = record(steps, centered(pt_b, rad_b))
         ref = Tape.adjoint(tape_b, {out: 1.0})
         for k, r in enumerate(ref):
@@ -105,12 +105,16 @@ def test_forward_lanes_per_lane_bitwise(steps, lane_specs, rounding):
         alo, ahi = lanes.adjoint({out: 1.0})
 
         for j, lane in enumerate(ivs):
-            ct.forward(lane)
-            assert lanes.value_lo[:, j].tobytes() == ct.value_lo.tobytes()
-            assert lanes.value_hi[:, j].tobytes() == ct.value_hi.tobytes()
-            assert lanes.partial_lo[:, j].tobytes() == ct.partial_lo.tobytes()
-            assert lanes.partial_hi[:, j].tobytes() == ct.partial_hi.tobytes()
-            slo, shi = ct.adjoint({out: 1.0})
+            state = ct.forward(lane)
+            assert lanes.value_lo[:, j].tobytes() == state.value_lo.tobytes()
+            assert lanes.value_hi[:, j].tobytes() == state.value_hi.tobytes()
+            assert (
+                lanes.partial_lo[:, j].tobytes() == state.partial_lo.tobytes()
+            )
+            assert (
+                lanes.partial_hi[:, j].tobytes() == state.partial_hi.tobytes()
+            )
+            slo, shi = state.adjoint({out: 1.0})
             assert alo[:, j].tobytes() == slo.tobytes()
             assert ahi[:, j].tobytes() == shi.tobytes()
 
@@ -121,9 +125,9 @@ def test_forward_accepts_node_index_mapping(steps, pt_a, rad_a, pt_b, rad_b):
     tape, _ = record(steps, centered(pt_a, rad_a))
     ct = CompiledTape(tape)
     by_index = dict(zip(ct.input_nodes, centered(pt_b, rad_b)))
-    ct.forward(by_index)
+    state = ct.forward(by_index)
     ref = CompiledTape(record(steps, centered(pt_b, rad_b))[0])
-    assert_same_arrays(ct, ref)
+    assert_same_arrays(state, ref)
 
 
 class TestStructureGuard:
@@ -173,9 +177,9 @@ class TestGuardRecheck:
         )
         ct = CompiledTape(tape)
         fresh = [Interval.centered(0.5, 0.2), Interval.centered(2.0, 0.2)]
-        ct.forward(fresh)
+        state = ct.forward(fresh)
         ref, _ = self._branching_tape(*fresh)
-        assert_same_arrays(ct, CompiledTape(ref))
+        assert_same_arrays(state, CompiledTape(ref))
 
     def test_flipped_branch_raises(self):
         tape, _ = self._branching_tape(

@@ -117,10 +117,21 @@ class TestCachedTraceShare:
             assert tuple(shared.meta["output_ids"]) == tuple(trace.output_ids)
             assert tuple(shared.meta["input_ids"]) == tuple(trace.input_ids)
 
-    def test_cached_trace_pickle_refuses(self):
+    def test_cached_trace_pickle_round_trip(self):
+        """A trace is immutable data: its pickled copy replays byte for
+        byte like the original, and leaves the sweep buffers behind."""
+        from repro.scorpio.serialize import report_to_json
+
         trace = make_trace()
-        with pytest.raises(TypeError, match="share"):
-            pickle.dumps(trace)
+        ivs = [
+            Interval.centered(p, 0.02 * p)
+            for p in (98.0, 104.0, 0.035, 0.22, 0.9)
+        ]
+        want = report_to_json(trace.analyse(ivs))
+        assert trace.ct._scratch
+        clone = pickle.loads(pickle.dumps(trace))
+        assert clone.ct._scratch == []
+        assert report_to_json(clone.analyse(ivs)) == want
 
     def test_trace_cache_pickle_refuses(self):
         from repro.scorpio import TraceCache

@@ -99,11 +99,11 @@ class TestRoundTrip:
             store.save(KEY, live)
             loaded = store.load(KEY)
             ivs = [Interval.centered(cx, r), Interval.centered(cy, r)]
-            live.ct.forward(ivs)
-            loaded.ct.forward(ivs)
+            live_state = live.ct.forward(ivs)
+            loaded_state = loaded.ct.forward(ivs)
             for col in ("value_lo", "value_hi"):
-                a = getattr(live.ct, col)
-                b = getattr(loaded.ct, col)
+                a = getattr(live_state, col)
+                b = getattr(loaded_state, col)
                 assert np.array_equal(a, b), col  # bitwise: same floats
 
     def test_guard_divergence_still_raises(self, tmp_path):

@@ -64,7 +64,6 @@ class TestCachedTrace:
             rep = trace.analyse(ivs)
             ref = _direct(_record_poly, ivs, simplify=simplify)
             assert report_to_json(rep) == report_to_json(ref)
-        assert trace.replays == 4
 
     def test_label_index(self):
         trace = CachedTrace(_record_poly(_ivs(0.7, 1.2)))
@@ -228,6 +227,85 @@ class TestAnalyseOutcome:
         cache.analyse_outcome(("br",), _record_branchy, _ivs(1.0, 3.0))
         _, outcome = cache.analyse_outcome(("br",), _record_branchy, _ivs(5.0, 3.0))
         assert outcome == "divergence"
+
+
+def _record_abs_sqrt(ivs) -> Analysis:
+    # Each branch's sqrt faults on the other branch's inputs, and replay
+    # runs every recorded op before it re-checks the comparison.
+    an = Analysis()
+    with an:
+        x = an.input(ivs[0], name="x")
+        z = op.sqrt(x) if x > 0 else op.sqrt(-x)
+        an.output(z * 2.0, name="out")
+    return an
+
+
+def _record_sqrt(ivs) -> Analysis:
+    an = Analysis()
+    with an:
+        x = an.input(ivs[0], name="x")
+        an.output(op.sqrt(x) + 1.0, name="out")
+    return an
+
+
+POSITIVE = [Interval(1.0, 2.0)]
+NEGATIVE = [Interval(-2.0, -1.0)]
+STRADDLING = [Interval(-1.0, 1.0)]
+
+
+class TestReplayFaults:
+    """A replay that faults re-records: it serves the recording's report,
+    or raises the recording's own error, whether the cache is warm or
+    cold."""
+
+    def _warm(self, recorder) -> TraceCache:
+        cache = TraceCache()
+        cache.analyse(("k",), recorder, POSITIVE)
+        return cache
+
+    def _cold_error(self, recorder, inputs) -> ValueError:
+        with pytest.raises(ValueError) as info:
+            recorder(inputs).analyse(compiled=True)
+        return info.value
+
+    def test_fault_on_other_branch_rerecords(self):
+        cache = self._warm(_record_abs_sqrt)
+        report, outcome = cache.analyse_outcome(
+            ("k",), _record_abs_sqrt, NEGATIVE
+        )
+        assert outcome == "divergence"
+        assert report_to_json(report) == report_to_json(
+            _direct(_record_abs_sqrt, NEGATIVE)
+        )
+
+    def test_fault_on_other_branch_rerecords_in_batch(self):
+        cache = self._warm(_record_abs_sqrt)
+        batch = [[Interval(3.0, 4.0)], NEGATIVE]
+        results = cache.analyse_batch_outcome(("k",), _record_abs_sqrt, batch)
+        assert [outcome for _, outcome in results] == [
+            "replay",
+            "divergence",
+        ]
+        for (report, _), ivs in zip(results, batch):
+            assert report_to_json(report) == report_to_json(
+                _direct(_record_abs_sqrt, ivs)
+            )
+
+    def test_genuine_fault_raises_recording_error(self):
+        cold = self._cold_error(_record_sqrt, STRADDLING)
+        cache = self._warm(_record_sqrt)
+        with pytest.raises(type(cold)) as warm:
+            cache.analyse_outcome(("k",), _record_sqrt, STRADDLING)
+        assert str(warm.value) == str(cold)
+
+    def test_genuine_fault_raises_recording_error_in_batch(self):
+        cold = self._cold_error(_record_sqrt, STRADDLING)
+        cache = self._warm(_record_sqrt)
+        with pytest.raises(type(cold)) as warm:
+            cache.analyse_batch_outcome(
+                ("k",), _record_sqrt, [POSITIVE, STRADDLING]
+            )
+        assert str(warm.value) == str(cold)
 
 
 class TestConcurrency:
