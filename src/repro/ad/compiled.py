@@ -37,6 +37,13 @@ Nothing writes a compiled tape's columns after compilation: each replay
 returns its own state (:class:`ReplayState` / :class:`ReplayLanes`) and
 each sweep borrows work buffers from a per-tape free list.  So threads
 replay one tape concurrently, and the columns may be read-only views.
+
+A compiled tape does not keep its recording.  Its frozen form is a
+JSON-safe header (op names, labels, guards) plus named columns, the
+folded constants included: :meth:`CompiledTape.freeze` writes it,
+:meth:`CompiledTape.thaw` reads it back, and pickle, shared memory
+(:class:`repro.mp.SharedTape`) and the on-disk tape store
+(:mod:`repro.scorpio.tape_store`) all carry that one form.
 """
 
 from __future__ import annotations
@@ -70,10 +77,16 @@ _GET_VALUE = attrgetter("value")
 _GET_PARENTS = attrgetter("parents")
 _GET_PARTIALS = attrgetter("partials")
 _GET_LABEL = attrgetter("label")
+_GET_AUX = attrgetter("aux")
 
-# The array columns that, with the op-name table, labels, guards and aux
-# map, fully describe a compiled tape: what repro.mp and the tape store
-# ship, and the array keywords of CompiledTape.from_arrays.
+# The frozen form of a compiled trace is a JSON-safe header plus these
+# named columns.  The first nine are the structure-of-arrays tape; the
+# last four hold the folded constants the forward replay needs, one row
+# per constant-operand binary or clip node: its index, the constant's
+# bounds (the clamp bounds for clip) and whether the constant was the
+# left operand.  CompiledTape.freeze / CompiledTape.thaw are the only
+# encoder and decoder; pickle, repro.mp.SharedTape and the tape store
+# carry the pair unchanged.
 _FROZEN_COLUMNS = (
     "opcodes",
     "value_is_interval",
@@ -84,7 +97,64 @@ _FROZEN_COLUMNS = (
     "value_hi",
     "partial_lo",
     "partial_hi",
+    "const_idx",
+    "const_lo",
+    "const_hi",
+    "const_reflected",
 )
+
+_CONST_BINARY = frozenset(("add", "sub", "mul", "div"))
+
+
+def _folded_constants(ops: list[str], nodes) -> tuple[np.ndarray, ...]:
+    """The constant columns of a recording, read from node ``aux``: a
+    constant-operand binary records ``(const, reflected)`` and ``clip``
+    its clamp bounds ``(lo, hi)``."""
+    idx: list[int] = []
+    lo: list[float] = []
+    hi: list[float] = []
+    refl: list[bool] = []
+    for j, aux in enumerate(map(_GET_AUX, nodes)):
+        if aux is None:
+            continue
+        op = ops[j]
+        if op == "clip":
+            c_lo, c_hi, r = float(aux[0]), float(aux[1]), False
+        elif op in _CONST_BINARY:
+            c = as_interval(aux[0])
+            c_lo, c_hi, r = c.lo, c.hi, bool(aux[1])
+        else:
+            continue
+        idx.append(j)
+        lo.append(c_lo)
+        hi.append(c_hi)
+        refl.append(r)
+    return (
+        np.array(idx, dtype=np.int64),
+        np.array(lo, dtype=np.float64),
+        np.array(hi, dtype=np.float64),
+        np.array(refl, dtype=bool),
+    )
+
+
+def _encode_guard(guard: tuple) -> list:
+    """A recorded ``(op, left, rhs, outcome)`` guard as a JSON-safe list;
+    an :class:`Interval` right-hand side becomes ``[lo, hi]``."""
+    op, left, rhs, outcome = guard
+    if isinstance(rhs, Interval):
+        rhs = [rhs.lo, rhs.hi]
+    else:
+        rhs = int(rhs)
+    return [op, int(left), rhs, bool(outcome)]
+
+
+def _decode_guard(item: Sequence) -> tuple:
+    op, left, rhs, outcome = item
+    if isinstance(rhs, (list, tuple)):
+        rhs = Interval(float(rhs[0]), float(rhs[1]))
+    else:
+        rhs = int(rhs)
+    return (op, int(left), rhs, bool(outcome))
 
 
 def _csr_gather(row_ptr: np.ndarray, data: np.ndarray, rows: np.ndarray):
@@ -112,6 +182,23 @@ def _buf(
     return a
 
 
+def _consumer_depth(row_ptr: np.ndarray, parent_idx: np.ndarray) -> np.ndarray:
+    """The ``depth`` column: ``d(j) = 0`` without consumers, else
+    ``1 + max`` over consumers.  One descending pass suffices because
+    consumers always have larger indices (checked at compile)."""
+    n = row_ptr.shape[0] - 1
+    depth = [0] * n
+    parents_seq = parent_idx.tolist()
+    ptr = row_ptr.tolist()
+    for j in range(n - 1, -1, -1):
+        dj1 = depth[j] + 1
+        for k in range(ptr[j], ptr[j + 1]):
+            p = parents_seq[k]
+            if depth[p] < dj1:
+                depth[p] = dj1
+    return np.asarray(depth, dtype=np.int64)
+
+
 class CompiledTape:
     """A :class:`Tape` frozen into structure-of-arrays form.
 
@@ -132,6 +219,14 @@ class CompiledTape:
             (the same rule the object sweep uses).
         depth: ``(n,)`` consumer-depth level of every node (the sweep
             schedule; 0 = nodes with no consumers).
+        const_idx / const_lo / const_hi / const_reflected: the folded
+            constants of constant-operand binaries and ``clip`` nodes, one
+            row per node in index order (see ``_FROZEN_COLUMNS``).
+        guards: the recorded comparison outcomes replay re-checks.
+
+    The recording itself is not kept: after compile a tape is its
+    columns plus :attr:`op_names`, :attr:`labels` and :attr:`guards`,
+    which is exactly what :meth:`freeze` emits and :meth:`thaw` adopts.
     """
 
     def __init__(self, tape: Tape):
@@ -143,8 +238,6 @@ class CompiledTape:
     def _compile(self, tape: Tape) -> None:
         nodes = tape.nodes
         n = len(nodes)
-        self.tape = tape
-        self.n = n
 
         # Bulk column extraction: C-level attrgetter maps pull each field
         # out once, then per-column passes iterate plain lists (no repeated
@@ -159,7 +252,7 @@ class CompiledTape:
             count=n,
         )
         self.op_names = list(op_table)
-        value_is_interval = np.fromiter(
+        self.value_is_interval = np.fromiter(
             (isinstance(v, Interval) for v in values), dtype=bool, count=n
         )
         self.value_lo = np.fromiter(
@@ -172,13 +265,18 @@ class CompiledTape:
             dtype=np.float64,
             count=n,
         )
-        self.value_is_interval = value_is_interval
-        self.interval_mode = bool(value_is_interval.any())
         self.labels = {
             j: label
             for j, label in enumerate(map(_GET_LABEL, nodes))
             if label is not None
         }
+        self.guards = list(tape.guards)
+        (
+            self.const_idx,
+            self.const_lo,
+            self.const_hi,
+            self.const_reflected,
+        ) = _folded_constants(ops, nodes)
 
         counts = np.fromiter(
             map(len, parents_list), dtype=np.int64, count=n
@@ -187,7 +285,6 @@ class CompiledTape:
         np.cumsum(counts, out=row_ptr[1:])
         e = int(row_ptr[n])
         self.row_ptr = row_ptr
-        self.n_edges = e
         self.parent_idx = np.fromiter(
             chain.from_iterable(parents_list), dtype=np.int64, count=e
         )
@@ -204,7 +301,6 @@ class CompiledTape:
         )
 
         edge_src = np.repeat(np.arange(n, dtype=np.int64), counts)
-        self._edge_src = edge_src
         if e and not (
             (self.parent_idx >= 0).all() and (self.parent_idx < edge_src).all()
         ):
@@ -217,118 +313,73 @@ class CompiledTape:
                 f"node {int(edge_src[bad])} parent "
                 f"{int(self.parent_idx[bad])} breaks topological order"
             )
-        self._build_schedule()
-        self._fplan: Any = None
+        self.depth = _consumer_depth(row_ptr, self.parent_idx)
+        self._derive()
 
     @classmethod
     def from_tape(cls, tape: Tape) -> "CompiledTape":
         """Freeze ``tape`` (alias of the constructor, for symmetry)."""
         return cls(tape)
 
+    def freeze(self) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
+        """The tape's frozen form: ``(header, columns)``.
+
+        ``header`` is JSON-safe: the op-name table, the labels as
+        ``[index, label]`` pairs and the guards as ``[op, left, rhs,
+        outcome]`` lists (an interval ``rhs`` as ``[lo, hi]``).  Callers
+        may add their own JSON-safe fields to it.  ``columns`` maps each
+        name in ``_FROZEN_COLUMNS`` to the tape's own array (not a copy).
+        """
+        header = {
+            "op_names": list(self.op_names),
+            "labels": [[j, label] for j, label in self.labels.items()],
+            "guards": [_encode_guard(g) for g in self.guards],
+        }
+        return header, {name: getattr(self, name) for name in _FROZEN_COLUMNS}
+
     @classmethod
-    def from_arrays(
-        cls,
-        *,
-        opcodes: np.ndarray,
-        op_names: Sequence[str],
-        value_lo: np.ndarray,
-        value_hi: np.ndarray,
-        value_is_interval: np.ndarray,
-        row_ptr: np.ndarray,
-        parent_idx: np.ndarray,
-        partial_lo: np.ndarray,
-        partial_hi: np.ndarray,
-        depth: np.ndarray | None = None,
-        labels: Mapping[int, str] | None = None,
-        guards: Sequence[tuple] = (),
-        aux: Mapping[int, Any] | None = None,
+    def thaw(
+        cls, header: Mapping[str, Any], columns: Mapping[str, np.ndarray]
     ) -> "CompiledTape":
-        """Rebuild a compiled tape directly from its frozen columns.
+        """Rebuild a tape from :meth:`freeze` output, without recording.
 
-        The inverse of freezing: a worker that receives a tape's
-        structure-of-arrays (e.g. zero-copy views over :mod:`repro.mp`
-        shared memory) reconstructs a fully functional ``CompiledTape``
-        without ever having seen the object tape.  ``guards`` and ``aux``
-        carry the only object-tape state replay needs — the recorded
-        comparison outcomes and the folded constants of constant-operand
-        binaries / clip bounds — installed on a minimal stub standing in
-        for the original :class:`~repro.ad.tape.Tape`.
-
-        Arrays are adopted, not copied, and never written, so read-only
-        views serve every path: the sweeps, :meth:`forward` and
-        :meth:`forward_lanes`.  Passing the precomputed ``depth`` column
-        skips the Python depth pass, leaving only vectorized schedule
-        construction on the worker side.
+        Columns are adopted, not copied, and never written, so read-only
+        views (shared memory, a memory-mapped file) serve every path.
+        Fields of ``header`` this class does not know are ignored.  The
+        sweep schedule and every memo are derived afresh; the shipped
+        ``depth`` column spares the Python depth pass.
         """
         self = cls.__new__(cls)
-        n = int(opcodes.shape[0])
-        self.tape = _StubTape(guards, aux)
-        self.n = n
-        self.opcodes = opcodes
-        self.op_names = list(op_names)
-        self.labels = dict(labels) if labels else {}
-        self.value_lo = value_lo
-        self.value_hi = value_hi
-        self.value_is_interval = value_is_interval
-        self.interval_mode = bool(value_is_interval.any())
-        self.row_ptr = row_ptr
-        self.n_edges = int(row_ptr[n])
-        self.parent_idx = parent_idx
-        self.partial_lo = partial_lo
-        self.partial_hi = partial_hi
-        self._edge_src = np.repeat(
-            np.arange(n, dtype=np.int64), np.diff(row_ptr)
-        )
-        if depth is None:
-            self._build_schedule()
-        else:
-            self.depth = np.asarray(depth, dtype=np.int64)
-            self._finish_schedule()
-        self._fplan = None
+        for name in _FROZEN_COLUMNS:
+            setattr(self, name, columns[name])
+        self.op_names = list(header["op_names"])
+        self.labels = {int(j): label for j, label in header["labels"]}
+        self.guards = [_decode_guard(g) for g in header["guards"]]
+        self._derive()
         return self
+
+    def __reduce__(self):
+        # Pickle the frozen form: derived schedules, plan and sweep work
+        # buffers are rebuilt by thaw, not shipped.
+        return (CompiledTape.thaw, self.freeze())
 
     def __len__(self) -> int:
         return self.n
 
-    def __getstate__(self) -> dict[str, Any]:
-        # Sweep work buffers are dead between calls (hundreds of MB on a
-        # many-output tape); a copy starts with an empty free list.
-        return {**self.__dict__, "_scratch": []}
-
     # ------------------------------------------------------------------
     # Level schedule
     # ------------------------------------------------------------------
-    def _build_schedule(self) -> None:
-        n, e = self.n, self.n_edges
-        row_ptr = self.row_ptr
+    def _derive(self) -> None:
+        """Everything that is not a frozen column: sizes, the edge-source
+        column, the level schedule and empty memos (all vectorized)."""
+        n = self.n = int(self.opcodes.shape[0])
+        e = self.n_edges = int(self.row_ptr[n])
+        self.interval_mode = bool(self.value_is_interval.any())
+        self._edge_src = edge_src = np.repeat(
+            np.arange(n, dtype=np.int64), np.diff(self.row_ptr)
+        )
         parent_idx = self.parent_idx
-        edge_src = self._edge_src
-
-        # Consumer depth: d(j) = 0 without consumers, 1 + max over
-        # consumers otherwise.  One descending pass suffices because
-        # consumers always have larger indices (checked at compile).
-        depth = [0] * n
-        parents_seq = parent_idx.tolist()
-        ptr = row_ptr.tolist()
-        for j in range(n - 1, -1, -1):
-            dj1 = depth[j] + 1
-            for k in range(ptr[j], ptr[j + 1]):
-                p = parents_seq[k]
-                if depth[p] < dj1:
-                    depth[p] = dj1
-        self.depth = np.asarray(depth, dtype=np.int64)
-        self._finish_schedule()
-
-    def _finish_schedule(self) -> None:
-        """Everything after the depth column: level grouping + caches.
-
-        Split out so :meth:`from_arrays` can adopt a precomputed ``depth``
-        (shipped alongside the other frozen columns) and skip the Python
-        descending-depth loop above — this part is all vectorized.
-        """
-        n, e = self.n, self.n_edges
-        parent_idx = self.parent_idx
-        edge_src = self._edge_src
+        self._fplan: Any = None
         n_levels = int(self.depth.max()) + 1 if n else 0
         self.n_levels = n_levels
         self._rank_cache: dict[int, list[np.ndarray]] = {}
@@ -814,7 +865,7 @@ class CompiledTape:
         tape itself is not modified.
 
         With ``check_guards`` (default) the comparisons recorded on the
-        source tape are re-evaluated on the replayed values; a flipped or
+        recording are re-evaluated on the replayed values; a flipped or
         ambiguous outcome raises
         :class:`~repro.ad.replay.GuardDivergenceError` /
         :class:`~repro.intervals.AmbiguousComparisonError` so callers can
@@ -847,7 +898,7 @@ class CompiledTape:
             sp.set(nodes=self.n)
             plan.run(vlo, vhi, plo, phi, rounding_enabled())
             if check_guards:
-                _check(self.tape.guards, vlo, vhi)
+                _check(self.guards, vlo, vhi)
         return ReplayState(self, vlo, vhi, plo, phi)
 
     def forward_lanes(
@@ -894,7 +945,7 @@ class CompiledTape:
             sp.set(nodes=self.n, lanes=L)
             plan.run(vlo, vhi, plo, phi, rounding_enabled())
             if check_guards:
-                _check(self.tape.guards, vlo, vhi)
+                _check(self.guards, vlo, vhi)
         return ReplayLanes(self, vlo, vhi, plo, phi)
 
     # ------------------------------------------------------------------
@@ -1086,51 +1137,3 @@ class ReplayLanes(ReplayState):
             lo, hi, self.partial_lo, self.partial_hi, rnd=False, clean_nan=False
         )
         return lo, hi
-
-
-class _AuxNode:
-    """Stand-in for a tape node exposing only the ``aux`` payload."""
-
-    __slots__ = ("aux",)
-
-    def __init__(self, aux: Any):
-        self.aux = aux
-
-
-class _AuxNodes:
-    """Indexable node view backed by a sparse ``{index: aux}`` map.
-
-    :class:`~repro.ad.replay.ForwardPlan` reads ``tape.nodes[j].aux`` only
-    for constant-operand binaries and ``clip`` nodes, so a worker-side
-    tape only ships those entries; every other index resolves to a node
-    with ``aux=None`` (exactly what a plain recorded node carries).
-    """
-
-    __slots__ = ("_aux",)
-
-    def __init__(self, aux: Mapping[int, Any] | None):
-        self._aux = dict(aux) if aux else {}
-
-    def __getitem__(self, index: int) -> _AuxNode:
-        return _AuxNode(self._aux.get(index))
-
-
-def _frozen_aux(ct: CompiledTape) -> dict[int, Any]:
-    """The sparse ``{index: aux}`` map that :meth:`CompiledTape.from_arrays`
-    takes back: the aux payloads of a recorded or rebuilt tape."""
-    nodes = ct.tape.nodes
-    if isinstance(nodes, _AuxNodes):
-        return dict(nodes._aux)
-    return {j: node.aux for j, node in enumerate(nodes) if node.aux is not None}
-
-
-class _StubTape:
-    """Minimal object standing in for a ``Tape`` behind a rebuilt
-    :meth:`CompiledTape.from_arrays` tape: recorded guards for replay
-    re-checks plus the sparse aux map the forward plan reads."""
-
-    __slots__ = ("guards", "nodes")
-
-    def __init__(self, guards: Sequence[tuple], aux: Mapping[int, Any] | None):
-        self.guards = list(guards)
-        self.nodes = _AuxNodes(aux)

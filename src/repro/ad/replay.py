@@ -34,7 +34,7 @@ same program on the object tape.  That constraint drives every rule here:
 
 Replay is only valid for *straight-line* traces: the structure guard
 (:class:`ReplayError` at plan build) rejects tapes replay cannot
-re-evaluate, and recorded comparison outcomes (``Tape.guards``) are
+re-evaluate, and recorded comparison outcomes (``CompiledTape.guards``) are
 re-checked on the replayed values (:func:`check_guards`) so input-dependent
 control flow surfaces as :class:`GuardDivergenceError` instead of a wrong
 answer.
@@ -53,7 +53,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.intervals import Interval, as_interval
+from repro.intervals import Interval
 from repro.intervals import functions as ifn
 from repro.obs import metrics as _metrics
 
@@ -330,13 +330,15 @@ class ForwardPlan:
                 "replay requires an interval-mode trace; scalar (float) "
                 "tapes re-record instead"
             )
-        nodes = ct.tape.nodes
         n = ct.n
         ptr = ct.row_ptr.tolist()
         pidx = ct.parent_idx.tolist()
         op_names = ct.op_names
         opcodes = ct.opcodes.tolist()
         is_iv = ct.value_is_interval
+        # Folded constants: node index -> row of the constant columns.
+        const_row = {j: k for k, j in enumerate(ct.const_idx.tolist())}
+        const_refl = ct.const_reflected
 
         input_nodes: list[int] = []
         fdepth = [0] * n
@@ -380,17 +382,17 @@ class ForwardPlan:
                 key: tuple = ("bin2", op)
             elif arity == 1:
                 if op in ("add", "sub", "mul", "div"):
-                    aux = nodes[j].aux
-                    if not (isinstance(aux, tuple) and len(aux) == 2):
+                    row = const_row.get(j)
+                    if row is None:
                         raise ReplayError(
                             f"constant-operand {op!r} (node #{j}) was "
                             "recorded without its folded constant (aux); "
                             "re-record the trace with the current tape "
                             "version to enable replay"
                         )
-                    key = ("cbin", op, bool(aux[1]))
+                    key = ("cbin", op, bool(const_refl[row]))
                 elif op == "clip":
-                    if nodes[j].aux is None:
+                    if j not in const_row:
                         raise ReplayError(
                             f"clip (node #{j}) recorded without its clamp "
                             "bounds (aux); re-record to enable replay"
@@ -424,17 +426,12 @@ class ForwardPlan:
             p0 = parent_idx[e0]
             p1 = parent_idx[e0 + 1] if key[0] == "bin2" else None
             c_lo = c_hi = None
-            if key[0] == "cbin":
-                consts = [as_interval(nodes[j].aux[0]) for j in ids]
-                c_lo = np.fromiter((c.lo for c in consts), np.float64, len(ids))
-                c_hi = np.fromiter((c.hi for c in consts), np.float64, len(ids))
-            elif key[0] == "clip":
-                c_lo = np.fromiter(
-                    (float(nodes[j].aux[0]) for j in ids), np.float64, len(ids)
+            if key[0] in ("cbin", "clip"):
+                rows = np.fromiter(
+                    (const_row[j] for j in ids), np.int64, len(ids)
                 )
-                c_hi = np.fromiter(
-                    (float(nodes[j].aux[1]) for j in ids), np.float64, len(ids)
-                )
+                c_lo = ct.const_lo[rows]
+                c_hi = ct.const_hi[rows]
             steps.append((key, _Step(idx, e0, p0, p1, c_lo, c_hi)))
         self._steps = steps
 

@@ -82,7 +82,7 @@ class Interval:
     def __reduce__(self):
         # Immutability breaks the default slot-setting unpickle path;
         # rebuild through the constructor so intervals can cross process
-        # boundaries (repro.mp ships guard/aux intervals to workers).
+        # boundaries (repro.mp ships request inputs to pool workers).
         return (Interval, (self.lo, self.hi))
 
     # ------------------------------------------------------------------

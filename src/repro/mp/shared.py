@@ -2,14 +2,16 @@
 
 A :class:`~repro.ad.compiled.CompiledTape` is already a handful of flat
 NumPy arrays, which makes it the perfect unit to ship across process
-boundaries *without serialization*: :class:`SharedTape` copies each frozen
-column into a :mod:`multiprocessing.shared_memory` segment exactly once,
-and every worker process reconstructs zero-copy array views over the same
-physical pages.  The handles themselves (:class:`SharedArray`,
-:class:`SharedTape`) pickle as ``(segment name, shape, dtype)`` tuples
-plus the small object-tape metadata replay needs (guards, folded
-constants, labels, output ids) — a few hundred bytes per task submission
-instead of megabytes of tape.
+boundaries *without serialization*.  :class:`SharedTape` takes a trace's
+frozen form — the JSON-safe header and named columns of
+:meth:`CompiledTape.freeze <repro.ad.compiled.CompiledTape.freeze>` —
+copies each column into a :mod:`multiprocessing.shared_memory` segment
+exactly once, and every worker process reconstructs zero-copy array
+views over the same physical pages.  The handles themselves
+(:class:`SharedArray`, :class:`SharedTape`) pickle as ``(segment name,
+shape, dtype)`` tuples plus that small header (op names, labels,
+guards, and a cached trace's analysis ids) — a few hundred bytes per
+task submission instead of megabytes of tape.
 
 Lifecycle rules, which the tests pin down:
 
@@ -32,11 +34,11 @@ from __future__ import annotations
 import atexit
 import threading
 from multiprocessing import resource_tracker, shared_memory
-from typing import Any, Mapping, Sequence
+from typing import Any
 
 import numpy as np
 
-from repro.ad.compiled import _FROZEN_COLUMNS, CompiledTape, _frozen_aux
+from repro.ad.compiled import CompiledTape
 from repro.obs.trace import span as _obs_span
 
 __all__ = ["SharedArray", "SharedTape", "unlink_all", "live_segments"]
@@ -233,65 +235,41 @@ class SharedArray:
 
 
 class SharedTape:
-    """A :class:`CompiledTape` frozen into shared memory, picklable by name.
+    """A frozen trace with its columns in shared memory, picklable by name.
 
-    ``freeze`` copies the tape's structure-of-arrays into owned segments
-    once; ``attach`` (typically in a worker, after the handle travelled
-    through a pickle) rebuilds a working ``CompiledTape`` over zero-copy
-    views.  The small non-array state — op-name table, labels, recorded
-    guards, the sparse aux map (folded constants / clip bounds) and the
-    analysis ids — rides along in the handle itself.
+    ``freeze`` copies the columns of a trace's frozen form into owned
+    segments once; ``attach`` (typically in a worker, after the handle
+    travelled through a pickle) rebuilds a working ``CompiledTape`` over
+    zero-copy views.  The JSON-safe header rides along in the handle
+    itself; freezing a :class:`~repro.scorpio.trace_cache.CachedTrace`
+    puts its analysis ids there too, and
+    ``CachedTrace.thaw(shared.header, views)`` rebuilds the whole trace.
 
     A ``SharedTape`` is per-*machine* shared state but the attached
     ``CompiledTape`` objects are per-process (their schedule caches and
-    forward plans are ordinary heap objects); see
-    :class:`repro.scorpio.trace_cache.CachedTrace` for the cache-level
-    contract.
+    forward plans are ordinary heap objects).
     """
 
-    __slots__ = ("arrays", "op_names", "labels", "guards", "aux", "meta")
+    __slots__ = ("header", "arrays")
 
-    def __init__(
-        self,
-        arrays: dict[str, SharedArray],
-        op_names: Sequence[str],
-        labels: Mapping[int, str],
-        guards: Sequence[tuple],
-        aux: Mapping[int, Any],
-        meta: dict[str, Any],
-    ):
+    def __init__(self, header: dict[str, Any], arrays: dict[str, SharedArray]):
+        self.header = header
         self.arrays = arrays
-        self.op_names = list(op_names)
-        self.labels = dict(labels)
-        self.guards = list(guards)
-        self.aux = dict(aux)
-        self.meta = dict(meta)
 
     def __reduce__(self):
-        return (
-            SharedTape,
-            (
-                self.arrays,
-                self.op_names,
-                self.labels,
-                self.guards,
-                self.aux,
-                self.meta,
-            ),
-        )
+        return (SharedTape, (self.header, self.arrays))
 
     @classmethod
-    def freeze(cls, ct: CompiledTape, **meta: Any) -> "SharedTape":
-        """Copy a compiled tape's columns into owned shared segments.
+    def freeze(cls, frozen: Any) -> "SharedTape":
+        """Copy the columns of ``frozen.freeze()`` into owned segments.
 
-        ``meta`` is arbitrary picklable context for the consumer (e.g.
-        output ids, delta); it travels inside the handle, not in shm.
+        ``frozen`` is anything with a ``freeze() -> (header, columns)``
+        method: a :class:`CompiledTape` or a ``CachedTrace``.
         """
-        arrays = {
-            col: SharedArray.create(getattr(ct, col)) for col in _FROZEN_COLUMNS
-        }
+        header, columns = frozen.freeze()
         return cls(
-            arrays, ct.op_names, ct.labels, ct.tape.guards, _frozen_aux(ct), meta
+            header,
+            {name: SharedArray.create(col) for name, col in columns.items()},
         )
 
     def attach(self) -> CompiledTape:
@@ -304,12 +282,9 @@ class SharedTape:
         """
         with _obs_span("mp.shared.attach") as sp:
             sp.set(columns=len(self.arrays))
-            return CompiledTape.from_arrays(
-                op_names=self.op_names,
-                labels=self.labels,
-                guards=self.guards,
-                aux=self.aux,
-                **{col: h.view() for col, h in self.arrays.items()},
+            return CompiledTape.thaw(
+                self.header,
+                {name: h.view() for name, h in self.arrays.items()},
             )
 
     def close(self) -> None:

@@ -1,18 +1,19 @@
 """Persistent tape store: compiled traces that survive a process restart.
 
-A :class:`~repro.ad.compiled.CompiledTape` is a handful of flat NumPy
-arrays plus a little object metadata (op-name table, labels, recorded
-guards, folded-constant aux payloads).  :class:`TapeStore` writes exactly
-that to disk — one ``.bin`` file of raw contiguous array bytes and one
-``.json`` header describing them — keyed by the kernel-identity hash the
-:class:`~repro.scorpio.trace_cache.TraceCache` already uses, in the
-spirit of ILAC's variant hashing (every variant keyed by a digest of its
-identity, so repeated runs resume instead of recompute).
+A :class:`~repro.scorpio.trace_cache.CachedTrace` freezes to a JSON-safe
+header plus named NumPy columns (:meth:`CachedTrace.freeze`, built on
+:meth:`~repro.ad.compiled.CompiledTape.freeze`).  :class:`TapeStore`
+writes exactly that pair to disk — the columns as one ``.bin`` file of
+raw bytes, the header as a ``.json`` file — keyed by the kernel-identity
+hash the :class:`~repro.scorpio.trace_cache.TraceCache` already uses, in
+the spirit of ILAC's variant hashing (every variant keyed by a digest of
+its identity, so repeated runs resume instead of recompute).
 
-Loading maps every column straight off the file with ``np.memmap``
-(read-only, zero-copy until touched), as :class:`repro.mp.SharedTape`
-maps shared memory: nothing writes a compiled tape after compilation,
-and :meth:`CompiledTape.forward` replays into per-call state.
+Loading maps the ``.bin`` file once with ``np.memmap`` (read-only),
+checks its digest and hands :meth:`CachedTrace.thaw` a view per column,
+as :class:`repro.mp.SharedTape` hands it views of shared memory: nothing
+writes a compiled tape after compilation, and
+:meth:`CompiledTape.forward` replays into per-call state.
 
 The payoff is warm starts: ``TraceCache(store_dir=...)`` (or the
 ``REPRO_TAPE_DIR`` environment variable via :mod:`repro.serve`) loads a
@@ -20,21 +21,25 @@ stored tape on the first request after a restart and serves it as a
 *replay* — no re-recording through Python operator overloading, no
 object tape, ``X-Repro-Cache: replay`` on a stone-cold service.
 
-Format notes (``STORE_VERSION`` guards all of them):
+Format notes (``STORE_VERSION`` 2):
 
-* the JSON header carries ``repr(key)``, the op-sequence hash, the array
-  manifest (dtype/shape/offset/nbytes into the ``.bin``), guards, aux,
-  labels and the analysis ids (inputs / intermediates / outputs, delta,
-  simplify) — everything :meth:`TraceCache` needs to rebuild a
-  :class:`~repro.scorpio.trace_cache.CachedTrace` with no recording;
+* the ``.json`` file holds ``store_version``, ``repro_version``,
+  ``repr(key)``, the frozen trace header under ``trace`` (op names,
+  labels, guards, analysis ids, delta, simplify, op-sequence hash), the
+  column manifest under ``arrays`` (dtype/shape/offset/nbytes into the
+  ``.bin``; offsets 8-byte aligned), ``total_bytes`` and ``digest``;
+* ``digest`` is one blake2b over the key, the trace header, the
+  manifest and every byte of the ``.bin``, so a corrupt column —
+  structure, values, partials, schedule or constants — or an edited
+  guard can never masquerade as a valid trace;
+* a file written by another store version or another repro version is
+  a miss: the key is the kernel identity alone, so a stale recording
+  must not replay under new code;
 * floats round-trip exactly through JSON (CPython emits shortest-repr
-  floats; ``Infinity``/``NaN`` tokens cover the non-finite lanes), so
-  guard thresholds and folded constants reload bit-identical;
+  floats; ``Infinity``/``NaN`` tokens cover the non-finite ones), so
+  guard thresholds and ``delta`` reload bit-identical;
 * writes are atomic (tmp file + ``os.replace``), ``.bin`` first — the
-  header is the commit point, so a torn write is an ordinary miss;
-* every load re-derives the op-sequence hash from the mapped arrays and
-  refuses the file when it disagrees with the header, so a corrupt or
-  half-written blob can never masquerade as a valid trace.
+  header is the commit point, so a torn write is an ordinary miss.
 
 All store errors are soft: ``load`` returns ``None`` and ``save``
 returns ``False`` (each counted under ``tape_store.*`` obs metrics); the
@@ -47,24 +52,27 @@ import hashlib
 import json
 import os
 import tempfile
-from typing import Any, Mapping, Sequence
+from typing import Any
 
 import numpy as np
 
 from repro import __version__ as _REPRO_VERSION
-from repro.ad.compiled import _FROZEN_COLUMNS, CompiledTape, _frozen_aux
-from repro.intervals import Interval
 from repro.obs import metrics as _obs_metrics
 
 __all__ = ["TapeStore", "STORE_VERSION", "store_key_digest"]
 
 #: Bump when the on-disk layout changes; older files become misses.
-STORE_VERSION = 1
+STORE_VERSION = 2
+
+# Column offsets in the .bin are multiples of this, so every mapped
+# column is aligned for its dtype.
+_ALIGN = 8
 
 _C_SAVES = _obs_metrics.counter("tape_store.saves")
 _C_LOADS = _obs_metrics.counter("tape_store.loads")
 _C_MISSES = _obs_metrics.counter("tape_store.misses")
 _C_ERRORS = _obs_metrics.counter("tape_store.errors")
+
 
 def store_key_digest(key: Any) -> str:
     """Filename-safe digest of a cache key (hash-keyed kernel identity)."""
@@ -72,62 +80,12 @@ def store_key_digest(key: Any) -> str:
     return h.hexdigest()
 
 
-# ----------------------------------------------------------------------
-# Tagged JSON encoding for the non-array metadata.  Guards are tuples of
-# (op, left, rhs, outcome) with rhs an Interval or a node index; aux
-# payloads are (const, reflected) / (lo, hi) tuples whose const may be an
-# Interval.  JSON has neither tuples nor Intervals, so both get explicit
-# tags — anything untagged round-trips as itself.
-# ----------------------------------------------------------------------
-def _encode(value: Any) -> Any:
-    if isinstance(value, Interval):
-        return {"__iv__": [value.lo, value.hi]}
-    if isinstance(value, tuple):
-        return {"__t__": [_encode(v) for v in value]}
-    if isinstance(value, list):
-        return [_encode(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    return value
-
-
-def _decode(value: Any) -> Any:
-    if isinstance(value, dict):
-        if "__iv__" in value:
-            lo, hi = value["__iv__"]
-            return Interval(float(lo), float(hi))
-        if "__t__" in value:
-            return tuple(_decode(v) for v in value["__t__"])
-        return {k: _decode(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_decode(v) for v in value]
-    return value
-
-
-def _compiled_op_hash(
-    op_names: Sequence[str],
-    opcodes: np.ndarray,
-    row_ptr: np.ndarray,
-    parent_idx: np.ndarray,
-    n_guards: int,
-) -> str:
-    """The compiled-arrays twin of
-    :func:`repro.scorpio.trace_cache.op_sequence_hash` — byte-for-byte
-    the same digest over the same trace, derived from the SoA columns
-    instead of the object tape.  Used as the load-time integrity check.
-    """
+def _digest(header: dict[str, Any], blob: Any) -> str:
+    """The integrity digest of a stored trace (see the format notes)."""
     h = hashlib.blake2b(digest_size=16)
-    ptr = row_ptr.tolist()
-    pidx = parent_idx.tolist()
-    for j, code in enumerate(opcodes.tolist()):
-        h.update(op_names[code].encode("utf-8", "replace"))
-        h.update(b"(")
-        for p in pidx[ptr[j] : ptr[j + 1]]:
-            h.update(str(p).encode("ascii"))
-            h.update(b",")
-        h.update(b")")
-    h.update(b"|guards:")
-    h.update(str(n_guards).encode("ascii"))
+    signed = {name: header[name] for name in ("key", "trace", "arrays")}
+    h.update(json.dumps(signed, sort_keys=True).encode("utf-8"))
+    h.update(blob)
     return h.hexdigest()
 
 
@@ -176,7 +134,7 @@ class TapeStore:
     # save
     # ------------------------------------------------------------------
     def save(self, key: Any, trace: Any) -> bool:
-        """Serialize a :class:`CachedTrace`'s compiled tape; False on error."""
+        """Write a :class:`CachedTrace`'s frozen form; False on error."""
         try:
             self._save(key, trace)
         except Exception:
@@ -186,45 +144,38 @@ class TapeStore:
         return True
 
     def _save(self, key: Any, trace: Any) -> None:
-        ct: CompiledTape = trace.ct
+        trace_header, columns = trace.freeze()
         header_path, blob_path = self.paths_for(key)
-        arrays: dict[str, np.ndarray] = {}
-        for col in _FROZEN_COLUMNS:
-            arrays[col] = np.ascontiguousarray(getattr(ct, col))
         manifest: dict[str, dict[str, Any]] = {}
         offset = 0
-        for col, arr in arrays.items():
-            manifest[col] = {
-                "dtype": arr.dtype.str,
-                "shape": list(arr.shape),
+        for name, col in columns.items():
+            offset = -(-offset // _ALIGN) * _ALIGN
+            manifest[name] = {
+                "dtype": col.dtype.str,
+                "shape": list(col.shape),
                 "offset": offset,
-                "nbytes": int(arr.nbytes),
+                "nbytes": int(col.nbytes),
             }
-            offset += int(arr.nbytes)
+            offset += int(col.nbytes)
+        blob = bytearray(offset)
+        for name, col in columns.items():
+            start = manifest[name]["offset"]
+            blob[start : start + col.nbytes] = col.tobytes()
         header = {
             "store_version": STORE_VERSION,
             "repro_version": _REPRO_VERSION,
             "key": repr(key),
-            "op_hash": trace.op_hash,
-            "op_names": list(ct.op_names),
-            "labels": {str(i): lab for i, lab in ct.labels.items()},
-            "guards": [_encode(g) for g in ct.tape.guards],
-            "aux": {str(i): _encode(v) for i, v in _frozen_aux(ct).items()},
-            "input_ids": list(trace.input_ids),
-            "intermediate_ids": list(trace.intermediate_ids),
-            "output_ids": list(trace.output_ids),
-            "delta": trace.delta,
-            "simplify": bool(trace.simplify),
+            "trace": trace_header,
             "arrays": manifest,
             "total_bytes": offset,
         }
+        header["digest"] = _digest(header, blob)
         # .bin first, header last: the header is the commit point, so a
         # crash between the two renames leaves a harmless orphan blob.
         fd, tmp_blob = tempfile.mkstemp(dir=self.root, suffix=".bin.tmp")
         try:
             with os.fdopen(fd, "wb") as f:
-                for arr in arrays.values():
-                    f.write(arr.tobytes())
+                f.write(blob)
             os.replace(tmp_blob, blob_path)
         except BaseException:
             try:
@@ -251,8 +202,8 @@ class TapeStore:
         """Rebuild the stored :class:`CachedTrace` for ``key``, or None.
 
         Missing, version-mismatched, truncated or corrupt files are all
-        plain misses (counted apart from parse/IO errors); a digest
-        mismatch against the header's op hash rejects the file outright.
+        plain misses (counted apart from parse/IO errors): a file whose
+        bytes or header disagree with its stored digest is refused.
         """
         header_path, blob_path = self.paths_for(key)
         if not os.path.exists(header_path):
@@ -274,50 +225,28 @@ class TapeStore:
 
         with open(header_path, "r", encoding="utf-8") as f:
             header = json.load(f)
-        if header.get("store_version") != STORE_VERSION:
+        if (
+            header.get("store_version") != STORE_VERSION
+            or header.get("repro_version") != _REPRO_VERSION
+        ):
             return None
-        manifest = header["arrays"]
+        total = int(header["total_bytes"])
         try:
-            blob_size = os.path.getsize(blob_path)
+            if os.path.getsize(blob_path) < total:
+                return None
         except OSError:
             return None
-        if blob_size < int(header["total_bytes"]):
+        # One read-only map: the digest checks the very bytes the columns
+        # then view, and nothing writes a compiled tape after compilation.
+        blob = np.memmap(blob_path, dtype=np.uint8, mode="r", shape=(total,))
+        if _digest(header, blob) != header["digest"]:
             return None
-        # Every column stays a lazily paged read-only map: nothing writes
-        # a compiled tape after compilation.
-        cols = {
-            col: np.memmap(
-                blob_path,
-                dtype=np.dtype(manifest[col]["dtype"]),
-                mode="r",
-                offset=int(manifest[col]["offset"]),
-                shape=tuple(manifest[col]["shape"]),
+        columns = {}
+        for name, spec in header["arrays"].items():
+            start = int(spec["offset"])
+            columns[name] = (
+                blob[start : start + int(spec["nbytes"])]
+                .view(np.dtype(spec["dtype"]))
+                .reshape(spec["shape"])
             )
-            for col in _FROZEN_COLUMNS
-        }
-        op_names = list(header["op_names"])
-        op_hash = _compiled_op_hash(
-            op_names,
-            cols["opcodes"],
-            cols["row_ptr"],
-            cols["parent_idx"],
-            len(header["guards"]),
-        )
-        if op_hash != header["op_hash"]:
-            return None
-        ct = CompiledTape.from_arrays(
-            op_names=op_names,
-            labels={int(i): lab for i, lab in header["labels"].items()},
-            guards=[_decode(g) for g in header["guards"]],
-            aux={int(i): _decode(v) for i, v in header["aux"].items()},
-            **cols,
-        )
-        return CachedTrace.from_compiled(
-            ct,
-            input_ids=[int(i) for i in header["input_ids"]],
-            intermediate_ids=[int(i) for i in header["intermediate_ids"]],
-            output_ids=[int(i) for i in header["output_ids"]],
-            delta=float(header["delta"]),
-            simplify=bool(header["simplify"]),
-            op_hash=header["op_hash"],
-        )
+        return CachedTrace.thaw(header["trace"], columns)

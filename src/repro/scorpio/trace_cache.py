@@ -45,14 +45,14 @@ checked-out sweep buffers, so any number of threads replay one trace at
 once.  The trace map and the stats counters are guarded by a single
 cache-wide mutex.
 
-A :class:`CachedTrace` is plain immutable data and pickles: the copy
-replays byte-identically in any process.  A :class:`TraceCache` holds
-``threading`` locks and refuses to pickle; give each process its own.
-To hand a trace to worker processes without copying its arrays, use
-:meth:`CachedTrace.share`: it freezes the compiled arrays into
-:class:`repro.mp.SharedTape` segments whose handles pickle by
-``(segment name, shape, dtype)``, and each worker attaches a
-``CompiledTape`` over zero-copy read-only views — see :mod:`repro.mp`.
+A :class:`CachedTrace` is plain immutable data.  Its frozen form is its
+tape's (:meth:`CompiledTape.freeze`) with the analysis ids, ``delta``,
+``simplify`` and the op-sequence hash added to the header;
+:meth:`CachedTrace.thaw` rebuilds a live trace from it.  Pickle carries
+that form, so a copy replays byte-identically in any process; so do
+:class:`repro.mp.SharedTape` (columns in shared memory) and the tape
+store (columns in a file).  A :class:`TraceCache` holds ``threading``
+locks and refuses to pickle; give each process its own.
 """
 
 from __future__ import annotations
@@ -108,6 +108,16 @@ class TraceDivergenceError(RuntimeError):
     must not be replayed.
     """
 
+
+# The header fields a frozen CachedTrace adds to its tape's.
+_TRACE_FIELDS = (
+    "input_ids",
+    "intermediate_ids",
+    "output_ids",
+    "delta",
+    "simplify",
+    "op_hash",
+)
 
 # Sentinel distinguishing "never seen this key" from "seen and rejected"
 # (None) in the trace map.
@@ -181,33 +191,18 @@ class CachedTrace:
 
     def __init__(self, analysis: Any, *, simplify: bool = True):
         tape = analysis.tape
-        ct = CompiledTape(tape)
-        # Structure guard: raises ReplayError for unreplayable traces.
-        plan = ct._forward_plan()
-        input_ids = [v.node.index for v in analysis._inputs]
-        if plan.input_nodes != input_ids:
-            raise ReplayError(
-                "registered inputs do not match the trace's input nodes "
-                "in order; the recorder must register inputs in argument "
-                "order"
-            )
-        self.ct = ct
-        self.input_ids = input_ids
-        self.intermediate_ids = [
-            v.node.index for v in analysis._intermediates
-        ]
-        self.output_ids = [v.node.index for v in analysis._outputs]
-        self.delta = analysis.delta
-        self.simplify = simplify
-        self.structure = TraceStructure(
-            ct, self.output_ids, simplify=simplify
+        self._adopt(
+            CompiledTape(tape),
+            input_ids=[v.node.index for v in analysis._inputs],
+            intermediate_ids=[v.node.index for v in analysis._intermediates],
+            output_ids=[v.node.index for v in analysis._outputs],
+            delta=analysis.delta,
+            simplify=simplify,
+            op_hash=op_sequence_hash(tape),
         )
-        self.op_hash = op_sequence_hash(tape)
-        self.validated = False
 
-    @classmethod
-    def from_compiled(
-        cls,
+    def _adopt(
+        self,
         ct: CompiledTape,
         *,
         input_ids: Sequence[int],
@@ -216,28 +211,20 @@ class CachedTrace:
         delta: float,
         simplify: bool,
         op_hash: str,
-    ) -> "CachedTrace":
-        """Rebuild a trace from an already-compiled tape (no recording).
-
-        This is how :class:`~repro.scorpio.tape_store.TapeStore` turns a
-        deserialized ``CompiledTape`` back into a live cache entry: the
-        analysis ids and hash come from the store header instead of an
-        ``Analysis`` object.  The same structure guard applies — a tape
-        whose forward plan disagrees with the registered inputs raises
-        :class:`~repro.ad.replay.ReplayError`.
-        """
+    ) -> None:
+        # Structure guard: raises ReplayError for unreplayable traces.
         plan = ct._forward_plan()
         input_ids = [int(i) for i in input_ids]
         if plan.input_nodes != input_ids:
             raise ReplayError(
-                "stored tape's forward-plan inputs do not match its "
-                "recorded input ids"
+                "registered inputs do not match the trace's input nodes "
+                "in order; the recorder must register inputs in argument "
+                "order"
             )
-        self = object.__new__(cls)
         self.ct = ct
         self.input_ids = input_ids
-        self.intermediate_ids = list(intermediate_ids)
-        self.output_ids = list(output_ids)
+        self.intermediate_ids = [int(i) for i in intermediate_ids]
+        self.output_ids = [int(i) for i in output_ids]
         self.delta = delta
         self.simplify = simplify
         self.structure = TraceStructure(
@@ -245,29 +232,35 @@ class CachedTrace:
         )
         self.op_hash = op_hash
         self.validated = False
+
+    def freeze(self) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
+        """:meth:`CompiledTape.freeze` with this trace's fields
+        (``_TRACE_FIELDS``) added to the header."""
+        header, columns = self.ct.freeze()
+        for name in _TRACE_FIELDS:
+            value = getattr(self, name)
+            header[name] = list(value) if isinstance(value, list) else value
+        return header, columns
+
+    @classmethod
+    def thaw(
+        cls, header: dict[str, Any], columns: dict[str, np.ndarray]
+    ) -> "CachedTrace":
+        """Rebuild a trace from :meth:`freeze` output, without recording.
+
+        The same structure guard applies: a tape whose forward plan
+        disagrees with the header's input ids raises
+        :class:`~repro.ad.replay.ReplayError`.
+        """
+        self = object.__new__(cls)
+        self._adopt(
+            CompiledTape.thaw(header, columns),
+            **{name: header[name] for name in _TRACE_FIELDS},
+        )
         return self
 
-    def share(self, **meta: Any) -> "Any":
-        """Freeze this trace into a picklable :class:`repro.mp.SharedTape`.
-
-        The handle carries the analysis ids (inputs / intermediates /
-        outputs), ``delta`` and ``simplify`` in its metadata alongside
-        any extra ``meta`` keys, so a worker can rebuild the full
-        analysis context from the handle alone.  Workers attach their
-        own ``CompiledTape`` over read-only views of the shared segments.
-        """
-        from repro.mp import SharedTape
-
-        return SharedTape.freeze(
-            self.ct,
-            input_ids=list(self.input_ids),
-            intermediate_ids=list(self.intermediate_ids),
-            output_ids=list(self.output_ids),
-            delta=self.delta,
-            simplify=self.simplify,
-            op_hash=self.op_hash,
-            **meta,
-        )
+    def __reduce__(self):
+        return (CachedTrace.thaw, self.freeze())
 
     def _analyse(
         self, state: CompiledTape | ReplayState
@@ -470,8 +463,8 @@ class TraceCache:
     def __reduce__(self):
         raise TypeError(
             "TraceCache is per-process (its record locks are threading "
-            "locks); give each process its own cache, or share individual "
-            "traces via CachedTrace.share()"
+            "locks); give each process its own cache, or ship individual "
+            "traces (a CachedTrace pickles, or freezes into a SharedTape)"
         )
 
     # Back-compat integer views (callers read cache.records directly).

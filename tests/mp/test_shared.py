@@ -105,17 +105,20 @@ class TestSharedTape:
         assert live_segments() == []
 
     def test_meta_passthrough(self):
+        # Caller fields added to the frozen header travel with the handle.
         trace = make_trace()
-        with SharedTape.freeze(trace.ct, flavour="test") as shared:
-            assert shared.meta["flavour"] == "test"
+        with SharedTape.freeze(trace.ct) as shared:
+            shared.header["flavour"] = "test"
+            clone = pickle.loads(pickle.dumps(shared))
+            assert clone.header["flavour"] == "test"
 
 
 class TestCachedTraceShare:
     def test_share_carries_trace_identity(self):
         trace = make_trace()
-        with trace.share() as shared:
-            assert tuple(shared.meta["output_ids"]) == tuple(trace.output_ids)
-            assert tuple(shared.meta["input_ids"]) == tuple(trace.input_ids)
+        with SharedTape.freeze(trace) as shared:
+            assert tuple(shared.header["output_ids"]) == tuple(trace.output_ids)
+            assert tuple(shared.header["input_ids"]) == tuple(trace.input_ids)
 
     def test_cached_trace_pickle_round_trip(self):
         """A trace is immutable data: its pickled copy replays byte for

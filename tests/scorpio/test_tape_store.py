@@ -1,14 +1,18 @@
-"""Persistent tape store (:mod:`repro.scorpio.tape_store`).
+"""Persistent tape store (:mod:`repro.scorpio.tape_store`) and the
+frozen-trace format it shares with pickle and :class:`repro.mp.SharedTape`.
 
 The store's contract: a save→load round-trip yields a trace whose
 replays are *bitwise identical* to the live trace's — same reports byte
 for byte, same guard divergences — and every failure mode (missing,
 version-mismatched, truncated, corrupt files) degrades to an ordinary
-cache miss, never an exception.
+cache miss, never an exception.  Pickle and shared memory carry the same
+frozen form and must replay the same bytes.
 """
 
+import contextlib
 import json
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -18,9 +22,13 @@ from hypothesis import strategies as st
 from repro.ad import intrinsics as op
 from repro.ad.replay import GuardDivergenceError
 from repro.intervals import Interval
+from repro.mp import SharedTape
 from repro.scorpio import Analysis, CachedTrace, TapeStore, TraceCache
 from repro.scorpio.serialize import report_to_json
 from repro.scorpio.tape_store import STORE_VERSION, store_key_digest
+from repro.serve.kernels import default_registry
+
+REGISTRY = default_registry()
 
 
 def _record_poly(ivs) -> Analysis:
@@ -61,28 +69,109 @@ def _ivs(cx, cy, r=0.1):
 KEY = ("poly",)
 
 
+def _fresh_pair(rng):
+    # x strictly below y so the branchy kernel's recorded x < y guard
+    # stays decidable (and taken) on every replay.
+    return _ivs(rng.uniform(0.3, 0.7), rng.uniform(1.1, 1.5))
+
+
+def _fresh_registry(kernel):
+    """The kernel's default ranges, each centre moved by up to ±0.5%."""
+
+    def fresh(rng):
+        out = []
+        for iv in REGISTRY[kernel].defaults():
+            scale = max(abs(iv.midpoint), iv.radius)
+            shift = rng.uniform(-0.005, 0.005) * scale
+            out.append(Interval.centered(iv.midpoint + shift, iv.radius))
+        return out
+
+    return fresh
+
+
+# The three transports of a trace's frozen form.  Each takes a live
+# trace and returns the trace rebuilt on the far side.
+def _via_pickle(trace, tmp_path, stack):
+    return pickle.loads(pickle.dumps(trace))
+
+
+def _via_shared(trace, tmp_path, stack):
+    shared = stack.enter_context(SharedTape.freeze(trace))
+    handle = pickle.loads(pickle.dumps(shared))  # travels by segment name
+    views = {name: h.view() for name, h in handle.arrays.items()}
+    return CachedTrace.thaw(handle.header, views)
+
+
+def _via_store(trace, tmp_path, stack):
+    store = TapeStore(tmp_path)
+    assert store.save(KEY, trace)
+    return store.load(KEY)
+
+
+TRANSPORTS = {"pickle": _via_pickle, "shared": _via_shared, "store": _via_store}
+
+
+def _round_trip_cases():
+    cases = []
+    for transport in TRANSPORTS:
+        # The tape-store cases keep the ids they had before the other
+        # transports joined the parametrisation.
+        prefix = "" if transport == "store" else f"{transport}-"
+        for simplify in (False, True):
+            for recorder in (_record_branchy, _record_clip, _record_poly):
+                cases.append(
+                    pytest.param(
+                        transport,
+                        recorder,
+                        _ivs(0.7, 1.2),
+                        simplify,
+                        _fresh_pair,
+                        id=f"{prefix}{simplify}-{recorder.__name__}",
+                    )
+                )
+        for kernel, entry in REGISTRY.items():
+            cases.append(
+                pytest.param(
+                    transport,
+                    entry.recorder,
+                    entry.defaults(),
+                    entry.simplify,
+                    _fresh_registry(kernel),
+                    id=f"{transport}-{kernel}",
+                )
+            )
+    return cases
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize(
-        "recorder", [_record_poly, _record_branchy, _record_clip]
+        "transport, recorder, recorded, simplify, fresh", _round_trip_cases()
     )
-    @pytest.mark.parametrize("simplify", [True, False])
-    def test_replays_bitwise_identical(self, tmp_path, recorder, simplify):
-        live = CachedTrace(recorder(_ivs(0.7, 1.2)), simplify=simplify)
-        store = TapeStore(tmp_path)
-        assert store.save(KEY, live)
-        loaded = store.load(KEY)
-        assert loaded is not None
-        assert loaded.op_hash == live.op_hash
-        assert loaded.input_ids == live.input_ids
-        assert loaded.output_ids == live.output_ids
+    def test_replays_bitwise_identical(
+        self, tmp_path, transport, recorder, recorded, simplify, fresh
+    ):
+        live = CachedTrace(recorder(recorded), simplify=simplify)
         rng = np.random.default_rng(11)
-        for _ in range(4):
-            # x strictly below y so the branchy kernel's recorded x < y
-            # guard stays decidable (and taken) on every replay.
-            ivs = _ivs(rng.uniform(0.3, 0.7), rng.uniform(1.1, 1.5))
-            assert report_to_json(loaded.analyse(ivs)) == report_to_json(
-                live.analyse(ivs)
-            )
+        live.analyse(fresh(rng))
+        if transport == "pickle" and recorder is REGISTRY["dct"].recorder:
+            # Only the frozen form travels, whatever ran on the trace:
+            # no recording, plan, schedule or sweep buffers.
+            column_bytes = sum(c.nbytes for c in live.freeze()[1].values())
+            assert len(pickle.dumps(live)) <= 1.10 * column_bytes
+        with contextlib.ExitStack() as stack:
+            loaded = TRANSPORTS[transport](live, tmp_path, stack)
+            assert loaded is not None
+            assert not hasattr(loaded.ct, "tape")
+            assert loaded.op_hash == live.op_hash
+            assert loaded.input_ids == live.input_ids
+            assert loaded.output_ids == live.output_ids
+            for _ in range(4):
+                ivs = fresh(rng)
+                want = report_to_json(
+                    recorder(ivs).analyse(simplify=simplify, compiled=True)
+                )
+                assert report_to_json(loaded.analyse(ivs)) == want
+                assert report_to_json(live.analyse(ivs)) == want
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -118,6 +207,50 @@ class TestRoundTrip:
             loaded.analyse(_ivs(1.8, 0.4))
 
 
+def _edit_column(column, row, edit):
+    """Overwrite one entry of a stored column with ``edit(entry)``."""
+
+    def corrupt(header_path, blob_path):
+        spec = json.loads(open(header_path).read())["arrays"][column]
+        dtype = np.dtype(spec["dtype"])
+        with open(blob_path, "r+b") as f:
+            f.seek(spec["offset"] + row * dtype.itemsize)
+            entry = np.frombuffer(f.read(dtype.itemsize), dtype)[0]
+            f.seek(spec["offset"] + row * dtype.itemsize)
+            f.write(np.asarray(edit(entry), dtype).tobytes())
+
+    return corrupt
+
+
+def _flip_first_guard(header_path, blob_path):
+    header = json.loads(open(header_path).read())
+    guard = header["trace"]["guards"][0]
+    guard[3] = not guard[3]
+    with open(header_path, "w") as f:
+        json.dump(header, f)
+
+
+_BS = REGISTRY["blackscholes"]
+# name -> (key, recorder, inputs, simplify, corrupt(header_path, blob_path))
+CORRUPTIONS = {
+    # A shifted schedule level reorders adjoint accumulation: the
+    # replayed report differs from a recording.
+    "depth": (
+        _BS.cache_key, _BS.recorder, _BS.defaults(), _BS.simplify,
+        _edit_column("depth", 15, lambda d: d + 1),
+    ),
+    "partial_lo": (
+        _BS.cache_key, _BS.recorder, _BS.defaults(), _BS.simplify,
+        _edit_column("partial_lo", 0, lambda p: p + 1.0),
+    ),
+    "const_lo": (
+        _BS.cache_key, _BS.recorder, _BS.defaults(), _BS.simplify,
+        _edit_column("const_lo", 0, lambda c: c + 1.0),
+    ),
+    "guard": (KEY, _record_branchy, _ivs(0.5, 1.5), True, _flip_first_guard),
+}
+
+
 class TestFailureModes:
     def test_missing_is_a_miss(self, tmp_path):
         assert TapeStore(tmp_path).load(KEY) is None
@@ -128,6 +261,18 @@ class TestFailureModes:
         header_path, _ = store.paths_for(KEY)
         header = json.loads(open(header_path).read())
         header["store_version"] = STORE_VERSION + 1
+        with open(header_path, "w") as f:
+            json.dump(header, f)
+        assert store.load(KEY) is None
+
+    def test_repro_version_mismatch_is_a_miss(self, tmp_path):
+        # The key is the kernel identity alone: a recording stored by
+        # another release must not replay under this one.
+        store = TapeStore(tmp_path)
+        store.save(KEY, CachedTrace(_record_poly(_ivs(0.7, 1.2))))
+        header_path, _ = store.paths_for(KEY)
+        header = json.loads(open(header_path).read())
+        header["repro_version"] = "0.0.0-other"
         with open(header_path, "w") as f:
             json.dump(header, f)
         assert store.load(KEY) is None
@@ -149,6 +294,20 @@ class TestFailureModes:
             f.seek(spec["offset"])
             f.write(b"\xff" * 4)  # scribble on the opcode column
         assert store.load(KEY) is None
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_corrupt_entry_falls_back_to_recording(self, tmp_path, corruption):
+        key, recorder, ivs, simplify, corrupt = CORRUPTIONS[corruption]
+        seeder = TraceCache(store_dir=tmp_path)
+        seeder.analyse(key, recorder, ivs, simplify=simplify)
+        corrupt(*TapeStore(tmp_path).paths_for(key))
+        report, outcome = TraceCache(store_dir=tmp_path).analyse_outcome(
+            key, recorder, ivs, simplify=simplify
+        )
+        assert outcome == "record"
+        assert report_to_json(report) == report_to_json(
+            recorder(ivs).analyse(simplify=simplify, compiled=True)
+        )
 
     def test_corrupt_header_is_soft(self, tmp_path):
         store = TapeStore(tmp_path)
